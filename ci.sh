@@ -89,26 +89,20 @@ echo "== serve pipeline alloc guard"
 go test -run='AllocFree$' ./internal/serve
 
 # Table-mode gates: the ten-family differential (table routes must be
-# port-identical to the RouteInto kernel), the snapshot round-trip and
-# corrupted-header rejection, and the AllocsPerRun==0 guard on the
-# table lookup loop (tagged !race for the same pooled-scratch reason).
-echo "== table-mode differential + snapshot round-trip + alloc guards"
-go test -run='Differential|Snapshot' ./internal/tables
+# port-identical to the RouteInto kernel) and the AllocsPerRun==0 guard
+# on the table lookup loop (tagged !race for the same pooled-scratch
+# reason).
+echo "== table-mode differential + alloc guards"
+go test -run='Differential' ./internal/tables
 go test -run='AllocFree$' ./internal/tables
-
-# Banded-table publication races: FaultBuild faulters racing each
-# other's CAS publishes, FaultDecline readers racing a Prebuild
-# warmer, and budget-refused walks substituting GreedyDim — every
-# served route must stay byte-identical to the dense reference.
-echo "== banded-table publication races (-race, count=2)"
-go test -race -count=2 -run='^TestRace' ./internal/tables
 
 # Sharded-engine gates: the ten-family sharded-vs-unsharded
 # differential (shard.Engine must emit byte-identical routes to
-# core.CachedRouter across every family and shard geometry), and the
+# core.CachedRouter across every family and shard geometry), the k=10
+# differential of the engine's table-less cache+kernel path, and the
 # AllocsPerRun==0 guard on the warm dispatch ladder (tagged !race).
-echo "== sharded-engine differential + persistence round-trip + alloc guard"
-go test -race -run='TestEngineDifferentialTenFamilies|TestWarmRoundTrip' ./internal/shard
+echo "== sharded-engine differentials + alloc guard"
+go test -race -run='TestEngineDifferentialTenFamilies|TestEngineK10BoundedMemory' ./internal/shard
 go test -run='AllocFree$' ./internal/shard
 
 # scg serve smoke: boot the routing service on an ephemeral port, then
@@ -186,88 +180,19 @@ curl -fsS -o /dev/null "http://$addr/debug/pprof/cmdline" || {
 kill "$serve_pid" 2>/dev/null || true
 serve_pid=""
 
-# Warm-restart smoke: boot a sharded server with a snapshot store,
-# route through it, SIGTERM it (the drain writes the warm state), then
-# boot a second server on the same store and check it reports a warm
-# restart and still routes.
-echo "== scg warm-restart smoke (serve -shards -store)"
-# -shard-residency 64 under-provisions the 120-byte k=5 table so some
-# walks decline into the route cache: the snapshot then carries BOTH
-# table bands and cache entries.
-"$tmpdir/scg" serve -addr 127.0.0.1:0 -shards 2 -shard-residency 64 -store "$tmpdir/warmstate" >"$tmpdir/serve2.log" 2>&1 &
-serve_pid=$!
-addr=""
-for _ in 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16 17 18 19 20; do
-    addr=$(sed -n 's|^scg serve: routing .*, listening on http://||p' "$tmpdir/serve2.log")
-    if [ -n "$addr" ]; then break; fi
-    sleep 0.25
-done
-if [ -z "$addr" ]; then
-    echo "sharded scg serve never reported its listen address:" >&2
-    cat "$tmpdir/serve2.log" >&2
-    exit 1
-fi
-curl -fsS -X POST -H 'Content-Type: application/json' \
-    -d '{"srcs": [5, 7, 11], "dsts": [99, 3, 60]}' "http://$addr/route/bulk" >"$tmpdir/bulk2.json"
-grep -q '"count":3' "$tmpdir/bulk2.json" || {
-    echo "sharded /route/bulk did not answer all pairs: $(cat "$tmpdir/bulk2.json")" >&2
-    exit 1
-}
-kill -TERM "$serve_pid"
-for _ in 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16 17 18 19 20; do
-    if ! kill -0 "$serve_pid" 2>/dev/null; then break; fi
-    sleep 0.25
-done
-serve_pid=""
-grep -q 'drained warm state to' "$tmpdir/serve2.log" || {
-    echo "sharded serve shutdown wrote no warm-state snapshot:" >&2
-    cat "$tmpdir/serve2.log" >&2
-    exit 1
-}
-"$tmpdir/scg" serve -addr 127.0.0.1:0 -shards 2 -shard-residency 64 -store "$tmpdir/warmstate" >"$tmpdir/serve3.log" 2>&1 &
-serve_pid=$!
-addr=""
-for _ in 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16 17 18 19 20; do
-    addr=$(sed -n 's|^scg serve: routing .*, listening on http://||p' "$tmpdir/serve3.log")
-    if [ -n "$addr" ]; then break; fi
-    sleep 0.25
-done
-if [ -z "$addr" ]; then
-    echo "restarted scg serve never reported its listen address:" >&2
-    cat "$tmpdir/serve3.log" >&2
-    exit 1
-fi
-grep -q 'warm restart from' "$tmpdir/serve3.log" || {
-    echo "restarted serve did not report a warm restart:" >&2
-    cat "$tmpdir/serve3.log" >&2
-    exit 1
-}
-curl -fsS -X POST -H 'Content-Type: application/json' \
-    -d '{"src": 5, "dst": 99}' "http://$addr/route" >"$tmpdir/route2.json"
-grep -q '"ports"' "$tmpdir/route2.json" || {
-    echo "restarted /route returned no ports: $(cat "$tmpdir/route2.json")" >&2
-    exit 1
-}
-kill "$serve_pid" 2>/dev/null || true
-serve_pid=""
-
-# Loadtest smoke: a short open-loop run through the full HTTP + batch
-# path (binary lane), proving the driver, the codec, and the latency
-# report end to end.  The committed BENCH_serve.json comes from the
-# full-length run documented in EXPERIMENTS.md.  The second run drives
-# the same pipeline over the sharded engine.
-echo "== scg loadtest smoke"
-"$tmpdir/scg" loadtest -duration 2s -load 50000 -bulk 512 -conns 2 -warm 20000
-echo "== scg loadtest smoke (sharded engine)"
-"$tmpdir/scg" loadtest -duration 2s -load 50000 -bulk 512 -conns 2 -warm 20000 -shards 4
-
-# bench-shards smoke: the scaling protocol at toy size (the committed
-# BENCH_shards.json comes from the full-length run).
-echo "== scg bench-shards smoke"
-"$tmpdir/scg" bench-shards -counts 1,2 -pairs 5000 -k10-pairs -1 -store "$tmpdir/benchstore"
+# perfbench self-test: builds scg, drives the binary lane of `scg
+# serve` end to end with every route verified, and times every layer
+# in-process (the shard engine at k=10 included).
+echo "== perfbench (go vet + self-test)"
+(cd perfbench && go vet ./... && go test ./...)
 
 echo "== fuzz smoke"
 go test -run='^$' -fuzz=FuzzLehmerRoundTrip -fuzztime=10s ./internal/perm
 go test -run='^$' -fuzz=FuzzRouteDelivers -fuzztime=10s ./internal/core
+# The bulk-decoder targets cap input minimization: minimizing a
+# kilobyte frame with the default 60 s budget would eat the whole
+# 10 s smoke.
+go test -run='^$' -fuzz=FuzzDecodeBulkBinary -fuzztime=10s -fuzzminimizetime=100x ./internal/serve
+go test -run='^$' -fuzz=FuzzDecodeBulkJSON -fuzztime=10s -fuzzminimizetime=100x ./internal/serve
 
 echo "ci: all checks passed"

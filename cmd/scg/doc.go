@@ -15,17 +15,15 @@
 //	scg faults    -family MS -l 3 -n 2 -mode random -nodefrac 0.05 -linkfrac 0.05
 //	scg stats     -family MS -l 7 -n 1 -pairs 20000
 //	scg serve     -addr localhost:8650 -family MS -l 7 -n 1 -batch 512 -rate 500000
-//	scg loadtest  -family MS -k 8 -load 600000 -bulk 2048 -duration 5s
 //	scg bench-obs -family MS -k 8 -out BENCH_obs.json
 //
 // Every subcommand in main.go is reproducible from its flags: all
 // randomness flows from the -seed flag through seededRand, never from
 // the global math/rand source or the clock, and the file-wide
 // scg:deterministic directive there makes scglint enforce it.  The
-// service and observability commands in serve.go and loadtest.go
-// (serve, stats, bench-obs, loadtest) are the deliberate exception —
-// serving HTTP and measuring latency need the wall clock — and carry
-// no directive.
+// service and observability commands in serve.go (serve, stats,
+// bench-obs) are the deliberate exception — serving HTTP and measuring
+// latency need the wall clock — and carry no directive.
 //
 // `scg serve` is the routing service (DESIGN.md §13): POST /route
 // answers one JSON pair, POST /route/bulk answers many (JSON, or the
@@ -40,10 +38,10 @@
 // request journeys, as JSON and as a Chrome trace-event document —
 // DESIGN.md §16), /debug/vars (expvar, including the scg_metrics,
 // scg_route_cache and scg_flight maps), and /debug/pprof/* (the
-// standard profiling handlers).  `scg loadtest` drives the service
-// open-loop (Poisson arrivals, zipf pairs) and reports latency
-// percentiles plus the server-side stage breakdown, regenerating
-// BENCH_serve.json.  `scg stats` routes a seeded workload and dumps
+// standard profiling handlers).  Its connections carry fixed read,
+// write and idle timeouts, so a stalled client cannot pin the server
+// or stall drain.  perfbench/ benchmarks the service end to end.
+// `scg stats` routes a seeded workload and dumps
 // the registry once to stdout (-stages prints the cumulative stage
 // table instead).  `scg bench-obs` times the warm routing hot path
 // with telemetry disabled and enabled, brackets the flight recorder

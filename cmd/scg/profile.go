@@ -1,6 +1,6 @@
-// Shared -cpuprofile/-memprofile flags for the measurement
-// subcommands (loadtest and the bench-* family), so a slow run can be
-// pinned to its hot path with the stock pprof toolchain.  This file
+// The -cpuprofile/-memprofile flags of the measurement subcommand
+// bench-obs, so a slow run can be pinned to its hot path with the
+// stock pprof toolchain.  This file
 // carries no clock reads and no randomness, so the deterministic
 // subcommands in main.go may call it freely.
 

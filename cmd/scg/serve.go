@@ -8,7 +8,6 @@ package main
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"expvar"
 	"flag"
 	"fmt"
@@ -26,7 +25,6 @@ import (
 	"supercayley/internal/obs"
 	"supercayley/internal/perm"
 	"supercayley/internal/serve"
-	"supercayley/internal/shard"
 	"supercayley/internal/sim"
 )
 
@@ -165,79 +163,6 @@ func (sf *serveFlags) serviceConfig() serve.ServiceConfig {
 	}
 }
 
-// shardFlags bundles the sharded-engine knobs shared by serve and
-// loadtest (AST-rostered like serveFlags).
-type shardFlags struct {
-	shards    *int
-	store     *string
-	residency *int64
-}
-
-func addShardFlags(fs *flag.FlagSet) *shardFlags {
-	return &shardFlags{
-		shards:    fs.Int("shards", 1, "shard workers partitioning the quotient rank space (rounded to a power of two; 1 = single-node router)"),
-		store:     fs.String("store", "", "warm-state snapshot directory: restored on start, drained back on shutdown"),
-		residency: fs.Int64("shard-residency", 0, "per-shard banded-table residency budget in bytes; > 0 also switches every shard to its own banded table (0 = unlimited, shared dense table at small k)"),
-	}
-}
-
-// router builds what the flags describe: (nil, nil) at the defaults —
-// the caller keeps its plain CachedRouter path — else a shard.Engine,
-// warm-restored from -store when a snapshot is there.
-func (shf *shardFlags) router(nw *core.Network) (core.Router, *shard.Engine, error) {
-	if *shf.shards <= 1 && *shf.store == "" && *shf.residency == 0 {
-		return nil, nil, nil
-	}
-	eng, err := shard.New(nw, shard.Config{
-		Shards:             *shf.shards,
-		ShardResidentBytes: *shf.residency,
-		// A budget only binds banded tables, so asking for one asks
-		// for the per-shard banded configuration.
-		ForceBanded: *shf.residency > 0,
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	if *shf.store != "" {
-		st, err := shard.NewFileStore(*shf.store)
-		if err != nil {
-			return nil, nil, err
-		}
-		t0 := time.Now()
-		rst, err := eng.RestoreFrom(st)
-		switch {
-		case errors.Is(err, shard.ErrNotFound):
-			fmt.Printf("scg: no warm state in %s, starting cold\n", st.Dir())
-		case err != nil:
-			return nil, nil, fmt.Errorf("restoring warm state from %s: %w", st.Dir(), err)
-		default:
-			fmt.Printf("scg: warm restart from %s in %s (%d cache entries, %d table bytes, %d shard tables)\n",
-				st.Dir(), time.Since(t0).Round(time.Millisecond), rst.CacheEntries, rst.TableBytes, rst.TablesLoaded)
-		}
-	}
-	return eng, eng, nil
-}
-
-// snapshot drains the engine's warm state back into -store; a no-op
-// without an engine or a store.
-func (shf *shardFlags) snapshot(eng *shard.Engine) error {
-	if eng == nil || *shf.store == "" {
-		return nil
-	}
-	st, err := shard.NewFileStore(*shf.store)
-	if err != nil {
-		return err
-	}
-	t0 := time.Now()
-	saved, err := eng.SaveTo(st)
-	if err != nil {
-		return fmt.Errorf("draining warm state to %s: %w", st.Dir(), err)
-	}
-	fmt.Printf("scg: drained warm state to %s in %s (%d cache entries, %d table bytes, %d artifacts)\n",
-		st.Dir(), time.Since(t0).Round(time.Millisecond), saved.CacheEntries, saved.TableBytes, saved.Artifacts)
-	return nil
-}
-
 func cmdServe(args []string) error {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
 	addr := fs.String("addr", "localhost:8650", "listen address (use :0 for an ephemeral port)")
@@ -245,7 +170,6 @@ func cmdServe(args []string) error {
 	warm := fs.Int("warm", 0, "route this many seeded pairs on -family before serving (0 = none)")
 	nf := addNetFlags(fs)
 	sf := addServeFlags(fs)
-	shf := addShardFlags(fs)
 	seed := fs.Int64("seed", 1, "workload seed for -warm")
 	skew := fs.Float64("skew", 1.2, "zipf exponent for -warm (> 1)")
 	fs.Parse(args)
@@ -265,13 +189,7 @@ func cmdServe(args []string) error {
 		fmt.Printf("scg serve: warmed with %d pairs on %s (mean route len %.2f)\n",
 			res.Pairs, nw.Name(), res.MeanRouteLen)
 	}
-	router, eng, err := shf.router(nw)
-	if err != nil {
-		return err
-	}
-	if router == nil {
-		router = core.NewCachedRouter(nw, core.CacheConfig{})
-	}
+	router := core.NewCachedRouter(nw, core.CacheConfig{})
 	// Rolling-window telemetry: the window ring's ticker feeds the
 	// stage and SLO gauges; the SLO itself is optional (-slo 0).
 	if *sf.slo > 0 {
@@ -289,42 +207,61 @@ func cmdServe(args []string) error {
 	if err != nil {
 		return err
 	}
-	if eng != nil {
-		fmt.Printf("scg serve: routing %s over %d shard(s), listening on http://%s\n",
-			nw.Name(), eng.Shards(), ln.Addr())
-	} else {
-		fmt.Printf("scg serve: routing %s, listening on http://%s\n", nw.Name(), ln.Addr())
-	}
+	fmt.Printf("scg serve: routing %s, listening on http://%s\n", nw.Name(), ln.Addr())
 	fmt.Println("scg serve: endpoints: /route /route/bulk /metrics /metrics.json /trace/routes /trace/requests /trace/chrome /debug/vars /debug/pprof/")
 
-	// Graceful drain: on SIGINT/SIGTERM stop accepting connections,
-	// let in-flight requests finish within -drain-wait, then drain the
-	// batching pipeline (remaining batches flush, new admissions get
-	// 503).
-	srv := &http.Server{Handler: mux}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
+	// After the first signal a second one kills the process outright.
+	context.AfterFunc(ctx, stop)
+	return serveAndDrain(ctx, newHTTPServer(mux), ln, svc, *sf.drainWait)
+}
+
+// Connection timeouts of the `scg serve` http.Server.  They bound how
+// long a slow or stalled client holds a connection and its goroutine:
+// a client that never finishes its header is cut after
+// readHeaderTimeout, so it can neither pin the server nor stall drain.
+const (
+	readHeaderTimeout = 2 * time.Second
+	// readTimeout covers header and body; the largest bulk body the
+	// default -max-bulk admits is 1 MiB.
+	readTimeout = 30 * time.Second
+	// writeTimeout must stay above the 30 s default duration of
+	// /debug/pprof/profile: the handler refuses any profile at least
+	// as long as the server's WriteTimeout, so a shorter one would
+	// break the default CPU profile.
+	writeTimeout = 60 * time.Second
+	idleTimeout  = 2 * time.Minute
+)
+
+// newHTTPServer is the http.Server `scg serve` runs handler on.
+func newHTTPServer(handler http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           handler,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		WriteTimeout:      writeTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+}
+
+// serveAndDrain serves ln until srv fails or ctx is done, then drains
+// gracefully: stop accepting connections, let in-flight requests
+// finish within drainWait, then drain the batching pipeline
+// (remaining batches flush, new admissions get 503).
+func serveAndDrain(ctx context.Context, srv *http.Server, ln net.Listener, svc *serve.Service, drainWait time.Duration) error {
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()
 	select {
 	case err := <-errc:
 		svc.Drain()
-		if serr := shf.snapshot(eng); serr != nil && err == nil {
-			err = serr
-		}
 		return err
 	case <-ctx.Done():
-		stop()
 		fmt.Println("scg serve: shutting down (draining in-flight batches)")
-		shutdownCtx, cancel := context.WithTimeout(context.Background(), *sf.drainWait)
+		shutdownCtx, cancel := context.WithTimeout(context.Background(), drainWait)
 		defer cancel()
 		err := srv.Shutdown(shutdownCtx)
 		svc.Drain()
-		// The batch pipeline is quiet now, so the snapshot sees the
-		// final warm state.
-		if serr := shf.snapshot(eng); serr != nil && err == nil {
-			err = serr
-		}
 		fmt.Println("scg serve: drained")
 		return err
 	}

@@ -1,22 +1,27 @@
 package main
 
 // Drift guards and smoke tests for the routing-service face of scg:
-// the serve/loadtest flag rosters are read out of the source AST so a
+// the serve flag rosters are read out of the source AST so a
 // flag cannot ship undocumented or silently disappear, and the
 // /route + /route/bulk endpoints are driven end to end through the
 // same mux `scg serve` binds.
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"go/ast"
 	"go/parser"
 	"go/token"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strconv"
 	"testing"
+	"time"
 
 	"supercayley/internal/core"
 	"supercayley/internal/obs"
@@ -73,8 +78,8 @@ func flagRegistrations(t *testing.T, file, fn string) map[string]string {
 }
 
 // TestServeFlagRoster pins the batching/admission knobs addServeFlags
-// exposes (shared by serve and loadtest): each must exist with a
-// non-empty usage string, and nothing unexpected may creep in.
+// exposes: each must exist with a non-empty usage string, and nothing
+// unexpected may creep in.
 func TestServeFlagRoster(t *testing.T) {
 	flags := flagRegistrations(t, "serve.go", "addServeFlags")
 	want := []string{"batch", "max-wait", "queue", "route-workers", "max-bulk", "rate", "burst", "drain-wait", "slo", "slo-objective"}
@@ -91,27 +96,28 @@ func TestServeFlagRoster(t *testing.T) {
 	}
 }
 
-// TestShardFlagRoster pins the sharded-engine knobs addShardFlags
-// exposes (shared by serve and loadtest) with the same exact-roster
-// discipline.
-func TestShardFlagRoster(t *testing.T) {
-	flags := flagRegistrations(t, "serve.go", "addShardFlags")
-	want := []string{"shards", "store", "shard-residency"}
+// TestServeCmdFlagRoster pins cmdServe's own knobs with the same
+// exact-roster discipline (the network flags live in addNetFlags, the
+// batching knobs in addServeFlags).  The server runs one router, so no
+// engine-selection or snapshot flag may appear.
+func TestServeCmdFlagRoster(t *testing.T) {
+	flags := flagRegistrations(t, "serve.go", "cmdServe")
+	want := []string{"addr", "trace-sample", "warm", "seed", "skew"}
 	for _, name := range want {
 		usage, ok := flags[name]
 		if !ok {
-			t.Errorf("addShardFlags no longer registers -%s", name)
+			t.Errorf("cmdServe no longer registers -%s", name)
 		} else if usage == "" {
 			t.Errorf("-%s has an empty usage string", name)
 		}
 	}
 	if len(flags) != len(want) {
-		t.Errorf("addShardFlags registers %d flags, roster lists %d — update the roster test", len(flags), len(want))
+		t.Errorf("cmdServe registers %d flags, roster lists %d — update the roster test", len(flags), len(want))
 	}
 }
 
-// TestProfileFlagRoster pins the -cpuprofile/-memprofile pair every
-// measurement subcommand shares.
+// TestProfileFlagRoster pins the -cpuprofile/-memprofile pair of the
+// measurement subcommand bench-obs.
 func TestProfileFlagRoster(t *testing.T) {
 	flags := flagRegistrations(t, "profile.go", "addProfileFlags")
 	want := []string{"cpuprofile", "memprofile"}
@@ -125,20 +131,6 @@ func TestProfileFlagRoster(t *testing.T) {
 	}
 	if len(flags) != len(want) {
 		t.Errorf("addProfileFlags registers %d flags, roster lists %d — update the roster test", len(flags), len(want))
-	}
-}
-
-// TestLoadtestFlagRoster pins the loadtest driver's own knobs the
-// same way.
-func TestLoadtestFlagRoster(t *testing.T) {
-	flags := flagRegistrations(t, "loadtest.go", "cmdLoadtest")
-	for _, name := range []string{"family", "k", "target", "load", "bulk", "conns", "clients", "duration", "seed", "skew", "warm", "json", "out"} {
-		usage, ok := flags[name]
-		if !ok {
-			t.Errorf("cmdLoadtest no longer registers -%s", name)
-		} else if usage == "" {
-			t.Errorf("-%s has an empty usage string", name)
-		}
 	}
 }
 
@@ -293,5 +285,64 @@ func TestServeMuxTraceEndpoints(t *testing.T) {
 	}
 	if !bytes.Contains(chrome, []byte(`"traceEvents"`)) {
 		t.Errorf("/trace/chrome lacks the traceEvents envelope: %.200s", chrome)
+	}
+}
+
+// dialHalfHeader connects to addr and sends the first lines of a
+// request header, never finishing it.
+func dialHalfHeader(t *testing.T, addr string) net.Conn {
+	t.Helper()
+	c, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Write([]byte("POST /route HTTP/1.1\r\nHost: scg\r\n")); err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// TestServeCutsSlowClient runs the server `scg serve` builds: a client
+// that sends half a header is disconnected once readHeaderTimeout
+// passes, and a drain begun while such a client is connected still
+// completes within its budget.
+func TestServeCutsSlowClient(t *testing.T) {
+	nw := core.MustNew(core.MS, 2, 2)
+	svc := serve.NewService(core.NewCachedRouter(nw, core.CacheConfig{}), serve.ServiceConfig{})
+	mux := newServeMux()
+	svc.RegisterOn(mux)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	const drainWait = 4 * time.Second // below the 5 s after which Shutdown closes a silent new connection itself
+	done := make(chan error, 1)
+	go func() { done <- serveAndDrain(ctx, newHTTPServer(mux), ln, svc, drainWait) }()
+
+	slow := dialHalfHeader(t, ln.Addr().String())
+	defer slow.Close()
+	slow.SetReadDeadline(time.Now().Add(readHeaderTimeout + 5*time.Second))
+	t0 := time.Now()
+	if n, err := slow.Read(make([]byte, 512)); n != 0 || errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("half-header client still connected after %v (read %d bytes, %v)", time.Since(t0), n, err)
+	}
+
+	stalled := dialHalfHeader(t, ln.Addr().String())
+	defer stalled.Close()
+	time.Sleep(50 * time.Millisecond) // let the server accept it
+	t1 := time.Now()
+	cancel()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("drain with a half-header client connected: %v after %v", err, time.Since(t1))
+		}
+	case <-time.After(drainWait + 5*time.Second):
+		t.Fatal("drain never finished with a half-header client connected")
+	}
+	if !svc.Batcher().Draining() {
+		t.Fatal("the batching pipeline was not drained")
 	}
 }

@@ -119,7 +119,7 @@ func BenchObs(cfg ObsBenchConfig) (*ObsBenchReport, error) {
 	defer obs.SetEnabled(wasEnabled)
 
 	// Untimed warm-up: after this pass the cache serves every pair, so
-	// the timed passes match BENCH_routes.json's engine_warm protocol.
+	// the timed passes time warm routing only.
 	if _, err := sim.Throughput(nt, engine.AppendRoute, wl); err != nil {
 		return nil, err
 	}

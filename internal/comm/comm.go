@@ -62,7 +62,7 @@ func SCGRoute(nw *core.Network) sim.RouteFunc {
 // SCGRouteLegacy is the original per-call routing function: unrank
 // both endpoints, expand the star route generator by generator, look
 // every port up by name.  It allocates on every hop and is kept as
-// the differential-testing oracle and the bench-routes baseline.
+// the differential-testing oracle.
 func SCGRouteLegacy(nw *core.Network) sim.RouteFunc {
 	set := nw.Set()
 	k := nw.K()

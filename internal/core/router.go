@@ -99,7 +99,7 @@ func (cr *CachedRouter) appendRoute(dst []gens.GenIndex, u, v perm.Perm, s *Rout
 			}
 			return out
 		}
-		// Declined (uncovered band): s.w is intact, fall through.
+		// Declined: s.w is intact, fall through.
 	}
 	key := cr.quotientKey(s.w)
 	if out, ok := cr.cache.get(dst, key, s.w); ok {

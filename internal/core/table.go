@@ -8,8 +8,8 @@ package core
 // sees it only through this interface).  The fall-through policy is
 // fixed: table first, then the symmetry-normalized LRU, then the
 // greedy kernel.  A table covering the whole quotient space makes the
-// LRU dead weight on the hot path; a banded table that declines
-// uncovered quotients degrades to exactly the PR-3 engine.
+// LRU dead weight on the hot path; a table that declines a quotient
+// leaves it to the LRU and the kernel.
 
 import (
 	"fmt"
@@ -21,8 +21,7 @@ import (
 // QuotientTable serves canonical quotient routes from precomputed
 // state.  AppendQuotientRoute appends the route sorting quotient w to
 // the identity onto dst and returns (extended slice, true); it may
-// decline (banded tables with an absent band) by returning dst
-// unchanged with false, in which case w must also be left unchanged so
+// decline by returning dst unchanged with false, in which case w must also be left unchanged so
 // the router can fall through to the LRU and the greedy kernel.  On
 // success w is scratch: the table may consume it to the identity
 // (mirroring the kernel's appendQuotientRoute contract) or leave it
@@ -37,7 +36,7 @@ type QuotientTable interface {
 }
 
 // RankTable is the optional extension tables implement when they can
-// resolve endpoint ranks themselves (dense tables carrying a
+// resolve endpoint ranks themselves (tables carrying a
 // rank→permutation slab).  AppendRouteRanks appends the route for the
 // pair addressed by Lehmer ranks and returns (extended slice, true),
 // or declines with dst unchanged and false — the router then takes its

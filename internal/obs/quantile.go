@@ -5,7 +5,7 @@ package obs
 // inclusive upper bound of the bucket the requested rank lands in:
 // exact for hop histograms (unit buckets), a ≤  2× upper bound for
 // power-of-two latency histograms.  That is the resolution the serve
-// latency roster and `scg loadtest` report p50/p99/p999 at.
+// latency roster reports p50/p99/p999 at.
 
 import "math"
 

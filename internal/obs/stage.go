@@ -159,7 +159,7 @@ type StageLat struct {
 // optionally as a delta against before (pass nil for cumulative
 // totals).  Rows are sorted by total time descending, then name, and
 // SharePc is each stage's share of the summed stage time — the table
-// `scg loadtest` and `scg stats -stages` print.
+// `scg stats -stages` prints.
 func StageBreakdown(before, after *Snapshot) []StageLat {
 	prev := map[string]HistSnap{}
 	if before != nil {

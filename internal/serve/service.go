@@ -17,8 +17,8 @@ package serve
 // Ports are generator indices of the network's set (gens.GenIndex,
 // one byte each) — the same port numbers the simulators replay.  The
 // binary lane exists because the JSON codec, not the router, is the
-// bottleneck at hundreds of thousands of routes per second; `scg
-// loadtest` drives it by default.
+// bottleneck at hundreds of thousands of routes per second; the
+// perfbench benchmark drives it.
 
 import (
 	"encoding/binary"
@@ -243,9 +243,9 @@ func (s *Service) handleBulk(w http.ResponseWriter, r *http.Request) {
 	obs.Flight.Begin(jny, obs.JourneyBulk)
 	var err error
 	if binaryLane {
-		err = s.decodeBulkBinary(r, j)
+		err = s.decodeBulkBinary(r.Body, j)
 	} else {
-		err = decodeBulkJSON(r, j)
+		err = decodeBulkJSON(r.Body, j, s.b.Config().MaxBulk)
 	}
 	if err != nil {
 		mRejBadRequest.Inc()
@@ -275,13 +275,18 @@ func (s *Service) handleBulk(w http.ResponseWriter, r *http.Request) {
 	hRequestNs.Observe(0, uint64(time.Since(t0)))
 }
 
-// maxBulkBody bounds a binary bulk body read; the pair cap is checked
-// again precisely after the header is parsed.
-const maxBulkBody = bulkHeaderLen + 16*(1<<20)
+// maxJSONPairBytes bounds the JSON encoding of one pair: two int64
+// decimals with sign, separators and some whitespace.  A JSON bulk
+// body may carry MaxBulk pairs' worth of it, plus 1 KiB of framing.
+const maxJSONPairBytes = 48
 
-func decodeBulkJSON(r *http.Request, j *Job) error {
+// decodeBulkJSON decodes a JSON bulk body into j.  It rejects more
+// than maxBulk pairs before adding any to the job, and adds nothing on
+// any error.
+func decodeBulkJSON(body io.Reader, j *Job, maxBulk int) error {
 	var req bulkRequest
-	if err := json.NewDecoder(io.LimitReader(r.Body, maxBulkBody)).Decode(&req); err != nil {
+	limit := int64(1<<10) + maxJSONPairBytes*int64(maxBulk)
+	if err := json.NewDecoder(io.LimitReader(body, limit)).Decode(&req); err != nil {
 		return fmt.Errorf("decoding request: %v", err)
 	}
 	if len(req.Srcs) != len(req.Dsts) {
@@ -289,6 +294,9 @@ func decodeBulkJSON(r *http.Request, j *Job) error {
 	}
 	if len(req.Srcs) == 0 {
 		return fmt.Errorf("empty pair list")
+	}
+	if len(req.Srcs) > maxBulk {
+		return fmt.Errorf("%w (%d > %d)", ErrTooLarge, len(req.Srcs), maxBulk)
 	}
 	for i := range req.Srcs {
 		j.AddPair(req.Srcs[i], req.Dsts[i])
@@ -306,29 +314,17 @@ func writeBulkJSON(w http.ResponseWriter, j *Job) {
 	w.Write(append(blob, '\n'))
 }
 
-func (s *Service) decodeBulkBinary(r *http.Request, j *Job) error {
+// decodeBulkBinary decodes a binary bulk frame into j.  The pair
+// count is checked against MaxBulk straight after the 8-byte header,
+// so an oversized frame is rejected before its body is read, and the
+// pooled read buffer never grows past one MaxBulk frame.  Nothing is
+// added to the job on any error.
+func (s *Service) decodeBulkBinary(body io.Reader, j *Job) error {
 	bufp := s.bufs.Get().(*[]byte)
 	defer s.bufs.Put(bufp)
-	buf := (*bufp)[:0]
-	var err error
-	if n := r.ContentLength; n > 0 && n <= maxBulkBody {
-		if cap(buf) < int(n) {
-			buf = make([]byte, n)
-		}
-		buf = buf[:n]
-		_, err = io.ReadFull(r.Body, buf)
-	} else {
-		buf, err = readAllInto(buf, io.LimitReader(r.Body, maxBulkBody+1))
-		if len(buf) > maxBulkBody {
-			return fmt.Errorf("body exceeds %d bytes", maxBulkBody)
-		}
-	}
-	if err != nil {
-		return fmt.Errorf("reading body: %v", err)
-	}
-	*bufp = buf[:0]
-	if len(buf) < bulkHeaderLen {
-		return fmt.Errorf("truncated header (%d bytes)", len(buf))
+	buf := resize(*bufp, bulkHeaderLen)
+	if n, err := io.ReadFull(body, buf); err != nil {
+		return fmt.Errorf("truncated header (%d bytes)", n)
 	}
 	if magic := binary.LittleEndian.Uint32(buf); magic != bulkReqMagic {
 		return fmt.Errorf("bad magic %#x (want %#x)", magic, bulkReqMagic)
@@ -337,16 +333,38 @@ func (s *Service) decodeBulkBinary(r *http.Request, j *Job) error {
 	if count == 0 {
 		return fmt.Errorf("empty pair list")
 	}
-	if want := bulkHeaderLen + 16*count; len(buf) != want {
-		return fmt.Errorf("body is %d bytes for %d pairs (want %d)", len(buf), count, want)
+	if maxBulk := s.b.Config().MaxBulk; count > maxBulk {
+		return fmt.Errorf("%w (%d > %d)", ErrTooLarge, count, maxBulk)
 	}
-	body := buf[bulkHeaderLen:]
+	// Read one byte past the pairs: getting it means trailing data.
+	want := 16 * count
+	buf = resize(buf, want+1)
+	*bufp = buf[:0]
+	n, err := io.ReadFull(body, buf)
+	if err != nil && err != io.EOF && err != io.ErrUnexpectedEOF {
+		return fmt.Errorf("reading body: %v", err)
+	}
+	if n > want {
+		return fmt.Errorf("body is longer than %d bytes for %d pairs", bulkHeaderLen+want, count)
+	}
+	if n < want {
+		return fmt.Errorf("body is %d bytes for %d pairs (want %d)", bulkHeaderLen+n, count, bulkHeaderLen+want)
+	}
 	for i := 0; i < count; i++ {
-		src := int64(binary.LittleEndian.Uint64(body[8*i:]))
-		dst := int64(binary.LittleEndian.Uint64(body[8*(count+i):]))
+		src := int64(binary.LittleEndian.Uint64(buf[8*i:]))
+		dst := int64(binary.LittleEndian.Uint64(buf[8*(count+i):]))
 		j.AddPair(src, dst)
 	}
 	return nil
+}
+
+// resize returns buf with length n, reallocating only when its
+// capacity is short.
+func resize(buf []byte, n int) []byte {
+	if cap(buf) < n {
+		return make([]byte, n)
+	}
+	return buf[:n]
 }
 
 func (s *Service) writeBulkBinary(w http.ResponseWriter, j *Job) {
@@ -365,21 +383,4 @@ func (s *Service) writeBulkBinary(w http.ResponseWriter, j *Job) {
 	w.Header().Set("Content-Length", strconv.Itoa(len(buf)))
 	w.Write(buf)
 	*bufp = buf[:0]
-}
-
-// readAllInto is io.ReadAll appending into a reused buffer.
-func readAllInto(buf []byte, r io.Reader) ([]byte, error) {
-	for {
-		if len(buf) == cap(buf) {
-			buf = append(buf, 0)[:len(buf)]
-		}
-		n, err := r.Read(buf[len(buf):cap(buf)])
-		buf = buf[:len(buf)+n]
-		if err == io.EOF {
-			return buf, nil
-		}
-		if err != nil {
-			return buf, err
-		}
-	}
 }

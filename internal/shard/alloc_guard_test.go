@@ -15,23 +15,20 @@ import (
 )
 
 // TestDispatchWarmAllocFree pins the zero-alloc steady state of the
-// shard dispatch path across every serving tier: unrank + normalize +
-// rank + splitmix64 worker pick, then the shared dense table, a
-// per-shard banded table, or — with a starved budget — the per-shard
-// cache.  A warm dispatch into a caller-owned buffer must not allocate
-// at all.
+// shard dispatch path in both engine shapes: splitmix64 worker pick,
+// then the per-shard cache, with the shared fast-lane table (k ≤
+// FastLaneMaxK) or the kernel (past it) behind it.  A warm dispatch
+// into a caller-owned buffer must not allocate at all.
 func TestDispatchWarmAllocFree(t *testing.T) {
 	cases := []struct {
 		name string
 		nw   *core.Network
 		cfg  Config
 	}{
-		// Shared dense fast-lane table serves everything.
+		// Shared fast-lane table behind the caches.
 		{"dense", core.MustNew(core.MS, 7, 1), Config{Shards: 4}},
-		// Per-shard banded tables, unlimited budget: table digits walk.
-		{"banded", core.MustNew(core.MS, 5, 1), Config{Shards: 2, ForceBanded: true}},
-		// Budget so starved every fault is refused: cache hits only.
-		{"cache", core.MustNew(core.MS, 5, 1), Config{Shards: 2, ForceBanded: true, ShardResidentBytes: 1}},
+		// k = 10, no table: cache hits with the kernel behind them.
+		{"cache", core.MustNew(core.MS, 9, 1), Config{Shards: 2}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -42,7 +39,7 @@ func TestDispatchWarmAllocFree(t *testing.T) {
 			n := tc.nw.N()
 			pairs := [][2]int64{{0, 1}, {n / 3, n - 1}, {n / 2, n / 7}, {n - 1, 0}}
 			buf := make([]gens.GenIndex, 0, 256)
-			// Warm every tier: scratch pool, bands, cache entries.
+			// Warm every tier: scratch pool and cache entries.
 			for r := 0; r < 8; r++ {
 				for _, p := range pairs {
 					buf, err = e.AppendRouteRanks(buf[:0], p[0], p[1])

@@ -3,9 +3,8 @@ package shard
 // Telemetry for the sharded engine, registered on obs.Default in the
 // repo's standard shape: dispatch-path counters are striped atomics
 // indexed by shard id (each worker writes its own stripe — no shared
-// cache line), persistence counters are low-rate plain increments,
-// and engine-level gauges walk a roster of live engines so the
-// registry never holds an engine alive nor the hot path a lock.
+// cache line), and engine-level gauges walk a roster of live engines
+// so the registry never holds an engine alive nor the hot path a lock.
 
 import (
 	"expvar"
@@ -18,19 +17,11 @@ var (
 	mDispatch = obs.Default.Counter("scg_shard_dispatch_total",
 		"routes dispatched to shard workers")
 	mTableServed = obs.Default.Counter("scg_shard_table_served_total",
-		"dispatched routes served by a shard's routing table")
+		"dispatched routes served by the shared fast-lane table")
 	mCacheServed = obs.Default.Counter("scg_shard_cache_served_total",
 		"dispatched routes served by a shard's route cache")
 	mKernelServed = obs.Default.Counter("scg_shard_kernel_served_total",
 		"dispatched routes computed by the greedy kernel")
-	mSaves = obs.Default.Counter("scg_shard_saves_total",
-		"engine warm-state drains written to a Store")
-	mRestores = obs.Default.Counter("scg_shard_restores_total",
-		"engine warm-state snapshots restored from a Store")
-	mSavedEntries = obs.Default.Counter("scg_shard_saved_entries_total",
-		"route-cache entries serialized by warm-state drains")
-	mRestoredEntries = obs.Default.Counter("scg_shard_restored_entries_total",
-		"route-cache entries rehydrated by warm-state restores")
 )
 
 // stDispatch times sampled dispatches end to end (hit or cold); the

@@ -9,28 +9,20 @@
 // from the owning worker's cache without unranking either endpoint —
 // the two UnrankInto divisions plus the compose/rank that otherwise
 // dominate a warm route.  The quotient is only computed on a miss,
-// where the worker's table or the greedy kernel resolves it (both key
-// on the quotient, so pairs sharing a quotient still share table
-// state).
+// where the shared table or the greedy kernel resolves it.
 //
-// Each worker owns its own warm state — a pair-keyed route cache and,
-// for banded configurations, its own routing table with a residency
-// budget — plus plain per-shard counters, so workers share no mutable
-// memory and the aggregate warm footprint scales linearly with N
-// while each shard's stays bounded.  The single-dispatch Engine
-// implements core.Router, the same surface as core.CachedRouter, so
+// Each worker owns its own warm state — a pair-keyed route cache —
+// plus plain per-shard counters, so workers share no mutable memory
+// and the aggregate warm footprint scales linearly with N while each
+// shard's stays bounded.  The single-dispatch Engine implements
+// core.Router, the same surface as core.CachedRouter, so
 // internal/serve, sim.Throughput, and comm drop in unchanged; both
 // engines emit byte-identical routes, which the sharded-vs-unsharded
 // differential in engine_test.go pins across all ten families.
 //
-// Residency per shard at k ≤ FastLaneMaxK defaults to one shared
-// immutable dense fast-lane table (tiny, read-only, no reason to
-// duplicate); k ≥ 10 — or ForceBanded, which the scaling bench uses —
-// gives every shard a banded table under Config.ShardResidentBytes,
-// with budget refusals declining to the shard's cache and kernel.
-// persist.go adds the warm-state round trip: a Store seam (memory or
-// file-backed) each shard saves its table bands and MRU-ordered cache
-// entries into on drain, and faults them back from on restore.
+// At k ≤ tables.FastLaneMaxK every worker consults one shared
+// immutable fast-lane table (tiny, read-only, no reason to duplicate)
+// on a miss; past it a miss goes straight to the greedy kernel.
 package shard
 
 import (
@@ -46,38 +38,19 @@ import (
 	"supercayley/internal/tables"
 )
 
-// minTableBands is the floor on the number of banded-table bands per
-// shard: enough granularity that a residency budget has bands to
-// choose between, while bands stay large enough (n / bands ranks)
-// that one fault warms a useful run of adjacent quotients.
-const minTableBands = 256
-
 // Config sizes an Engine.  The zero value is one shard with default
-// cache geometry and auto residency — behaviorally a CachedRouter.
+// cache geometry — behaviorally a CachedRouter.
 type Config struct {
 	// Shards is the number of shard workers, rounded up to a power of
 	// two; 0 → 1.
 	Shards int
-	// BandBits is the log2 size of a banded-table band (the fault
-	// granule of each shard's table); 0 picks the largest size that
-	// still yields at least minTableBands bands.
-	BandBits uint
 	// CacheShards and CacheEntries size each worker's route cache
 	// (core.CacheConfig per worker — the per-worker cache is itself
 	// lock-striped).  Zero picks 4 stripes of 1024 entries, so the
 	// aggregate cache capacity grows linearly with Shards.
 	CacheShards  int
 	CacheEntries int
-	// ShardResidentBytes bounds each worker's banded-table residency
-	// (tables.Config.MaxResidentBytes); 0 = unlimited.  Ignored when
-	// the engine runs a shared dense table.
-	ShardResidentBytes int64
-	// ForceBanded gives every shard its own banded table even at small
-	// k where a shared dense table would win — the configuration the
-	// shard-count scaling bench measures, where aggregate warm state
-	// is the variable.
-	ForceBanded bool
-	// BuildWorkers parallelizes the dense build; 0 → GOMAXPROCS.
+	// BuildWorkers parallelizes the table build; 0 → GOMAXPROCS.
 	BuildWorkers int
 }
 
@@ -85,16 +58,6 @@ const (
 	defaultCacheShards  = 4
 	defaultCacheEntries = 1024
 )
-
-// autoBandBits returns the largest band size (in bits) that still cuts
-// n ranks into at least minTableBands bands.
-func autoBandBits(n int64) uint {
-	bb := uint(0)
-	for n>>(bb+1) >= minTableBands {
-		bb++
-	}
-	return bb
-}
 
 // scratch is the per-route working set, pooled so concurrent dispatch
 // allocates nothing once warm.  It mirrors core.RouteScratch but stays
@@ -118,9 +81,6 @@ func newScratch(k int) *scratch {
 type worker struct {
 	id    int
 	cache *core.RouteCache
-	// table is the worker's banded table (nil when the engine runs a
-	// shared dense table).
-	table *tables.Table
 
 	routes       atomic.Uint64
 	tableServed  atomic.Uint64
@@ -131,26 +91,24 @@ type worker struct {
 // Engine is the sharded routing engine.  It implements core.Router and
 // is safe for concurrent use once New returns.
 type Engine struct {
-	nw       *core.Network
-	n        int64
-	bandBits uint
-	mask     uint64
-	// dense is the shared immutable fast-lane table (k ≤ FastLaneMaxK
-	// without ForceBanded), consulted by every worker; nil in banded
-	// configurations.
+	nw   *core.Network
+	n    int64
+	mask uint64
+	// dense is the shared immutable fast-lane table (k ≤ FastLaneMaxK),
+	// consulted by every worker on a miss; nil past the cap.
 	dense   *tables.Table
 	workers []*worker
 	scratch sync.Pool // *scratch
 }
 
-// New builds the engine.  The network must have k ≤ tables.BandedMaxK:
-// dispatch keys are exact Lehmer ranks (the same bound as the cache's
-// rank-keyed regime), which is the whole regime sharding targets —
-// beyond it there is no rank space to partition.
+// New builds the engine.  The network must have k ≤ core.RankKeyMaxK:
+// dispatch keys are exact Lehmer ranks (the cache's rank-keyed
+// regime), which is the whole regime sharding targets — beyond it
+// there is no rank space to partition.
 func New(nw *core.Network, cfg Config) (*Engine, error) {
 	k := nw.K()
-	if k > tables.BandedMaxK {
-		return nil, fmt.Errorf("shard: %s has k=%d, engine caps at k=%d (exact-rank dispatch)", nw.Name(), k, tables.BandedMaxK)
+	if k > core.RankKeyMaxK {
+		return nil, fmt.Errorf("shard: %s has k=%d, engine caps at k=%d (exact-rank dispatch)", nw.Name(), k, core.RankKeyMaxK)
 	}
 	ns := cfg.Shards
 	if ns <= 0 {
@@ -160,15 +118,10 @@ func New(nw *core.Network, cfg Config) (*Engine, error) {
 	for np < ns {
 		np <<= 1
 	}
-	bb := cfg.BandBits
-	if bb == 0 {
-		bb = autoBandBits(nw.N())
-	}
 	e := &Engine{
-		nw:       nw,
-		n:        nw.N(),
-		bandBits: bb,
-		mask:     uint64(np - 1),
+		nw:   nw,
+		n:    nw.N(),
+		mask: uint64(np - 1),
 	}
 	ccfg := core.CacheConfig{Shards: cfg.CacheShards, ShardEntries: cfg.CacheEntries}
 	if ccfg.Shards <= 0 {
@@ -177,34 +130,15 @@ func New(nw *core.Network, cfg Config) (*Engine, error) {
 	if ccfg.ShardEntries <= 0 {
 		ccfg.ShardEntries = defaultCacheEntries
 	}
-	banded := cfg.ForceBanded || k > tables.FastLaneMaxK
-	if !banded {
-		t, err := tables.Build(nw, tables.Config{Mode: tables.ModeDense, Workers: cfg.BuildWorkers})
+	if k <= tables.FastLaneMaxK {
+		t, err := tables.Build(nw, tables.Config{Workers: cfg.BuildWorkers})
 		if err != nil {
 			return nil, err
 		}
 		e.dense = t
 	}
-	tb := bb
-	if tb == 0 {
-		tb = 1
-	}
 	for i := 0; i < np; i++ {
-		w := &worker{id: i, cache: core.NewRouteCache(ccfg, true)}
-		if banded {
-			t, err := tables.Build(nw, tables.Config{
-				Mode:             tables.ModeBanded,
-				BandBits:         tb,
-				Policy:           tables.FaultBuild,
-				MaxResidentBytes: cfg.ShardResidentBytes,
-				Workers:          1,
-			})
-			if err != nil {
-				return nil, err
-			}
-			w.table = t
-		}
-		e.workers = append(e.workers, w)
+		e.workers = append(e.workers, &worker{id: i, cache: core.NewRouteCache(ccfg, true)})
 	}
 	e.scratch.New = func() any { return newScratch(k) }
 	registerEngine(e)
@@ -279,10 +213,10 @@ func (e *Engine) AppendRouteRanks(dst []gens.GenIndex, src, dstRank int64) ([]ge
 	return wk.appendCold(e, dst, key, src, dstRank, timed, t0), nil //scg:ignore noalloc -- cold miss path: appendCold promotes into the cache and allocates by design
 }
 
-// appendCold resolves a cache miss: the shared dense fast lane serves
+// appendCold resolves a cache miss: the shared fast-lane table serves
 // the pair straight from its rank slab (no UnrankInto divisions);
-// otherwise the endpoints are unranked and the quotient walks the
-// worker's banded table or falls to the greedy kernel.  Every
+// otherwise the endpoints are unranked and the greedy kernel routes
+// the quotient.  Every
 // resolved route is promoted into the worker's pair-keyed cache so
 // the next dispatch of this pair is a pure cache hit — that Put is
 // the one deliberate allocation here; the warm path above it is
@@ -310,33 +244,16 @@ func (wk *worker) appendCold(e *Engine, dst []gens.GenIndex, key uint64, src, ds
 	perm.UnrankInto(s.v, dstRank)
 	s.v.InverseInto(s.inv)
 	s.inv.ComposeInto(s.w, s.u)
-	out, served := dst, false
-	if t := wk.table; t != nil {
-		var tw int64
-		if timed {
-			tw = obs.NowNs()
-		}
-		// A decline (budget-refused or absent band) leaves w intact.
-		out, served = t.AppendQuotientRoute(dst, s.w)
-		if timed && served {
-			core.StageTableWalk.Observe(wk.id, uint64(obs.NowNs()-tw))
-		}
+	var tk int64
+	if timed {
+		tk = obs.NowNs()
 	}
-	if served {
-		wk.tableServed.Add(1)
-		mTableServed.IncAt(wk.id)
-	} else {
-		var tk int64
-		if timed {
-			tk = obs.NowNs()
-		}
-		out = e.nw.AppendQuotientRoute(dst, s.w) // consumes w
-		if timed {
-			core.StageKernel.Observe(wk.id, uint64(obs.NowNs()-tk))
-		}
-		wk.kernelServed.Add(1)
-		mKernelServed.IncAt(wk.id)
+	out := e.nw.AppendQuotientRoute(dst, s.w) // consumes w
+	if timed {
+		core.StageKernel.Observe(wk.id, uint64(obs.NowNs()-tk))
 	}
+	wk.kernelServed.Add(1)
+	mKernelServed.IncAt(wk.id)
 	wk.cache.Put(key, nil, out[mark:])
 	e.scratch.Put(s)
 	wk.coldObserve(timed, t0)
@@ -382,9 +299,6 @@ type WorkerStat struct {
 	CacheServed  uint64
 	KernelServed uint64
 	Cache        core.CacheStats
-	// Table is the worker's banded-table census; zero-valued when the
-	// engine runs a shared dense table (see Engine.DenseStats).
-	Table tables.Stats
 }
 
 // WorkerStats returns the per-shard census in shard order.
@@ -399,26 +313,17 @@ func (e *Engine) WorkerStats() []WorkerStat {
 			KernelServed: w.kernelServed.Load(),
 			Cache:        w.cache.Stats(),
 		}
-		if w.table != nil {
-			out[i].Table = w.table.Stats()
-		}
 	}
 	return out
 }
 
-// TableBytes returns the resident table payload across the engine:
-// the shared dense table or the summed per-shard banded tables.
+// TableBytes returns the resident payload of the shared fast-lane
+// table, or 0 past FastLaneMaxK where the engine runs without one.
 func (e *Engine) TableBytes() int64 {
 	if e.dense != nil {
 		return e.dense.Bytes()
 	}
-	var total int64
-	for _, w := range e.workers {
-		if w.table != nil {
-			total += w.table.Bytes()
-		}
-	}
-	return total
+	return 0
 }
 
 // RouteManyInto implements core.Router with the same sequential

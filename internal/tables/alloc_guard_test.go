@@ -20,7 +20,7 @@ import (
 // the obs counters — must not allocate.
 func TestDenseLookupAllocFree(t *testing.T) {
 	nw := core.MustNew(core.MS, 7, 1) // k = 8, the benchmark network
-	tab, err := Build(nw, Config{Mode: ModeDense})
+	tab, err := Build(nw, Config{})
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
@@ -44,7 +44,7 @@ func TestDenseLookupAllocFree(t *testing.T) {
 // walk, and telemetry, end to end through CachedRouter.
 func TestRouterTableWarmAllocFree(t *testing.T) {
 	nw := core.MustNew(core.MS, 7, 1)
-	tab, err := Build(nw, Config{Mode: ModeDense})
+	tab, err := Build(nw, Config{})
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}

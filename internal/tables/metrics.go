@@ -20,29 +20,13 @@ var (
 	mTableSteps = obs.Default.Counter("scg_table_steps_total",
 		"generator steps emitted by table-mode walks")
 	mRanksBuilt = obs.Default.Counter("scg_table_ranks_built_total",
-		"quotient ranks materialized by table builders (dense builds and band faults)")
-	mBandsBuilt = obs.Default.Counter("scg_table_bands_built_total",
-		"banded-table bands materialized on demand or via Prebuild")
-	mBandFaults = obs.Default.Counter("scg_table_band_faults_total",
-		"walks that hit an unbuilt band under FaultBuild")
-	mDeclines = obs.Default.Counter("scg_table_declines_total",
-		"lookups declined to the router (absent start band under FaultDecline or a refused budget)")
-	mBudgetRefused = obs.Default.Counter("scg_table_budget_refused_total",
-		"band faults refused by the residency budget")
-	mSnapshotSaves = obs.Default.Counter("scg_table_snapshot_saves_total",
-		"table snapshots written")
-	mSnapshotLoads = obs.Default.Counter("scg_table_snapshot_loads_total",
-		"table snapshots loaded")
+		"quotient ranks materialized by table builds")
 	hBuildNs = obs.Default.Pow2Hist("scg_table_build_ns",
-		"wall time of initial table builds, ns")
+		"wall time of table builds, ns")
 )
 
-// stFaultIn times synchronous band fault-ins on the route path — the
-// classic tail-latency culprit the flight recorder exists to expose.
-var stFaultIn = obs.NewStage("table_fault_in")
-
 // liveTables is the census roster behind the callback gauges; every
-// Build/Load registers its table.
+// Build registers its table.
 var liveTables struct {
 	mu   sync.Mutex
 	list []*Table
@@ -62,11 +46,7 @@ func AggregateStats() Stats {
 	agg := Stats{Name: "aggregate"}
 	for _, t := range tabs {
 		s := t.Stats()
-		agg.BandsBuilt += s.BandsBuilt
-		agg.BandFaults += s.BandFaults
-		agg.BudgetRefused += s.BudgetRefused
 		agg.Bytes += s.Bytes
-		agg.BudgetBytes += s.BudgetBytes
 		agg.BuildNS += s.BuildNS
 	}
 	return agg
@@ -74,9 +54,9 @@ func AggregateStats() Stats {
 
 func init() {
 	obs.Default.GaugeFunc("scg_table_resident_bytes",
-		"resident dims bytes across all live tables", func() float64 { return float64(AggregateStats().Bytes) })
+		"resident table bytes across all live tables", func() float64 { return float64(AggregateStats().Bytes) })
 	obs.Default.GaugeFunc("scg_table_live",
-		"tables built or loaded in this process", func() float64 {
+		"tables built in this process", func() float64 {
 			liveTables.mu.Lock()
 			n := len(liveTables.list)
 			liveTables.mu.Unlock()

@@ -37,33 +37,11 @@ func tenNetworks(t *testing.T) []*core.Network {
 // family — the correctness contract of the whole package.
 func TestDenseDifferentialTenFamilies(t *testing.T) {
 	for _, nw := range tenNetworks(t) {
-		tab, err := Build(nw, Config{Mode: ModeDense})
+		tab, err := Build(nw, Config{})
 		if err != nil {
 			t.Fatalf("%s: Build: %v", nw.Name(), err)
 		}
 		diffAllQuotients(t, nw, tab)
-	}
-}
-
-// TestBandedDifferentialTenFamilies does the same through the banded
-// walk with tiny bands (so the walk crosses band boundaries and
-// faults constantly) under both fault policies.
-func TestBandedDifferentialTenFamilies(t *testing.T) {
-	for _, nw := range tenNetworks(t) {
-		for _, policy := range []FaultPolicy{FaultBuild, FaultDecline} {
-			tab, err := Build(nw, Config{Mode: ModeBanded, BandBits: 3, Policy: policy})
-			if err != nil {
-				t.Fatalf("%s: Build banded: %v", nw.Name(), err)
-			}
-			if policy == FaultDecline {
-				// Build half the bands; declined starts are fine, the
-				// covered starts must still cross absent bands mid-walk.
-				if err := tab.Prebuild(0, tab.numBands()/2); err != nil {
-					t.Fatalf("%s: Prebuild: %v", nw.Name(), err)
-				}
-			}
-			diffAllQuotients(t, nw, tab)
-		}
 	}
 }
 
@@ -75,7 +53,6 @@ func diffAllQuotients(t *testing.T, nw *core.Network, tab *Table) {
 	w := make(perm.Perm, k)
 	want := make([]gens.GenIndex, 0, 256)
 	got := make([]gens.GenIndex, 0, 256)
-	declined := 0
 	perm.All(k, func(q perm.Perm) bool {
 		// Kernel route of quotient q: RouteInto(q, identity) since
 		// id⁻¹∘q = q.
@@ -84,11 +61,7 @@ func diffAllQuotients(t *testing.T, nw *core.Network, tab *Table) {
 		var ok bool
 		got, ok = tab.AppendQuotientRoute(got[:0], w)
 		if !ok {
-			if tab.Policy() != FaultDecline {
-				t.Fatalf("%s: table declined quotient %v under policy %v", nw.Name(), q, tab.Policy())
-			}
-			declined++
-			return true
+			t.Fatalf("%s: table declined quotient %v", nw.Name(), q)
 		}
 		if len(got) != len(want) {
 			t.Fatalf("%s: quotient %v: table route %d steps, kernel %d", nw.Name(), q, len(got), len(want))
@@ -106,13 +79,22 @@ func diffAllQuotients(t *testing.T, nw *core.Network, tab *Table) {
 		}
 		return true
 	})
-	if tab.Policy() == FaultDecline && tab.Mode() == ModeBanded {
-		if declined == 0 {
-			t.Fatalf("%s: FaultDecline table with half coverage declined nothing", nw.Name())
-		}
-	} else if declined != 0 {
-		t.Fatalf("%s: %d declines from a full-coverage table", nw.Name(), declined)
+}
+
+// oddDecliner is a QuotientTable (deliberately not a RankTable) that
+// declines every quotient of odd rank, so a router using it takes the
+// decline → LRU → kernel path on half its pairs and the table path on
+// the rest.
+type oddDecliner struct{ t *Table }
+
+func (d oddDecliner) K() int       { return d.t.K() }
+func (d oddDecliner) Name() string { return d.t.Name() }
+
+func (d oddDecliner) AppendQuotientRoute(dst []gens.GenIndex, w perm.Perm) ([]gens.GenIndex, bool) {
+	if w.Rank()%2 == 1 {
+		return dst, false
 	}
+	return d.t.AppendQuotientRoute(dst, w)
 }
 
 // TestRouterFallThrough wires a table into CachedRouter and checks
@@ -120,11 +102,11 @@ func diffAllQuotients(t *testing.T, nw *core.Network, tab *Table) {
 // decline → LRU → kernel path.
 func TestRouterFallThrough(t *testing.T) {
 	nw := core.MustNew(core.MS, 2, 2)
-	tab, err := Build(nw, Config{Mode: ModeBanded, BandBits: 4, Policy: FaultDecline})
+	tab, err := Build(nw, Config{})
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
-	withTable, err := core.NewCachedRouterWithTable(nw, core.CacheConfig{}, core.TableConfig{Table: tab})
+	withTable, err := core.NewCachedRouterWithTable(nw, core.CacheConfig{}, core.TableConfig{Table: oddDecliner{tab}})
 	if err != nil {
 		t.Fatalf("NewCachedRouterWithTable: %v", err)
 	}
@@ -150,6 +132,9 @@ func TestRouterFallThrough(t *testing.T) {
 			}
 		}
 	}
+	if s := withTable.Stats(); s.Hits+s.Misses == 0 {
+		t.Fatal("no declined quotient reached the LRU")
+	}
 }
 
 // TestRankLaneDifferentialTenFamilies drives the rank-addressed fast
@@ -158,7 +143,7 @@ func TestRouterFallThrough(t *testing.T) {
 // the routes against a table-less router.
 func TestRankLaneDifferentialTenFamilies(t *testing.T) {
 	for _, nw := range tenNetworks(t) {
-		tab, err := Build(nw, Config{Mode: ModeDense})
+		tab, err := Build(nw, Config{})
 		if err != nil {
 			t.Fatalf("%s: Build: %v", nw.Name(), err)
 		}
@@ -218,56 +203,67 @@ func TestUseTableValidation(t *testing.T) {
 	}
 }
 
-// TestBuildModes exercises mode selection and caps.
+// TestBuildModes exercises the two table layouts — with the fast lane
+// at k ≤ FastLaneMaxK, dims only past it — and the k cap.
 func TestBuildModes(t *testing.T) {
 	nw := core.MustNew(core.MS, 2, 2)
 	tab, err := Build(nw, Config{})
 	if err != nil {
-		t.Fatalf("auto build: %v", err)
+		t.Fatalf("build: %v", err)
 	}
-	if tab.Mode() != ModeDense {
-		t.Fatalf("auto mode at k=5 picked %v, want dense", tab.Mode())
-	}
-	// Dense at k ≤ FastLaneMaxK: dims (1 byte/rank) plus the fast lane —
+	// At k ≤ FastLaneMaxK: dims (1 byte/rank) plus the fast lane —
 	// rank→perm slab (k bytes/rank) and successor ranks (4 bytes/rank).
 	if want := nw.N() * int64(5+nw.K()); tab.Bytes() != want {
-		t.Fatalf("dense table %d bytes, want %d", tab.Bytes(), want)
+		t.Fatalf("fast-lane table %d bytes, want %d", tab.Bytes(), want)
 	}
 	if tab.N() != nw.N() || tab.K() != nw.K() || tab.Name() != nw.Name() {
-		t.Fatalf("table metadata mismatch: %v", tab.Stats())
+		t.Fatalf("table metadata mismatch: %+v", tab.Stats())
 	}
 	if tab.BuildTime() <= 0 {
-		t.Fatalf("dense build reported no build time")
+		t.Fatalf("build reported no build time")
 	}
-	if _, err := Build(nw, Config{BandBits: 31}); err == nil {
-		t.Fatalf("accepted absurd band bits")
+	if _, err := Build(core.MustNew(core.MS, 10, 1), Config{}); err == nil {
+		t.Fatalf("accepted k=11 past DenseMaxK")
 	}
+	if testing.Short() {
+		return
+	}
+	// Past FastLaneMaxK the table is dims only: 1 byte per rank, and the
+	// rank lane declines so the router takes its unrank path.
+	big := core.MustNew(core.MS, 9, 1) // k = 10
+	tab, err = Build(big, Config{})
+	if err != nil {
+		t.Fatalf("k=10 build: %v", err)
+	}
+	if tab.Bytes() != big.N() {
+		t.Fatalf("k=10 table %d bytes, want %d", tab.Bytes(), big.N())
+	}
+	if _, ok := tab.AppendRouteRanks(nil, 1, 2); ok {
+		t.Fatal("k=10 table served a rank-lane route without a slab")
+	}
+	diffSampledQuotients(t, big, tab, 200)
 }
 
-// TestBandedFaultAccounting checks fault/build counters and resident
-// bytes under on-demand growth.
-func TestBandedFaultAccounting(t *testing.T) {
-	nw := core.MustNew(core.RR, 2, 2)
-	tab, err := Build(nw, Config{Mode: ModeBanded, BandBits: 4, Policy: FaultBuild})
-	if err != nil {
-		t.Fatalf("Build: %v", err)
-	}
-	if tab.Bytes() != 0 || tab.Stats().BandsBuilt != 0 {
-		t.Fatalf("banded table born with resident state: %v", tab.Stats())
-	}
-	w := perm.Unrank(nw.K(), nw.N()-1)
-	if _, ok := tab.AppendQuotientRoute(nil, w); !ok {
-		t.Fatalf("FaultBuild declined")
-	}
-	st := tab.Stats()
-	if st.BandFaults == 0 || st.BandsBuilt == 0 || st.Bytes == 0 {
-		t.Fatalf("fault did not materialize a band: %+v", st)
-	}
-	// Full prebuild must make residency exactly n bytes.
-	if err := tab.Prebuild(0, tab.numBands()); err != nil {
-		t.Fatalf("Prebuild: %v", err)
-	}
-	if tab.Bytes() != nw.N() {
-		t.Fatalf("fully built banded table %d bytes, want %d", tab.Bytes(), nw.N())
+// diffSampledQuotients checks n seeded quotients of a network too big
+// to sweep against the kernel.
+func diffSampledQuotients(t *testing.T, nw *core.Network, tab *Table, n int) {
+	t.Helper()
+	k := nw.K()
+	s := core.NewRouteScratch(k)
+	id := perm.Identity(k)
+	r := rand.New(rand.NewSource(11))
+	var want, got []gens.GenIndex
+	for i := 0; i < n; i++ {
+		q := perm.Unrank(k, r.Int63n(nw.N()))
+		want = nw.RouteInto(want[:0], q, id, s)
+		got, _ = tab.AppendQuotientRoute(got[:0], q)
+		if len(got) != len(want) {
+			t.Fatalf("%s: quotient %d: table route %d steps, kernel %d", nw.Name(), i, len(got), len(want))
+		}
+		for j := range got {
+			if got[j] != want[j] {
+				t.Fatalf("%s: quotient %d: port %d is %d, kernel %d", nw.Name(), i, j, got[j], want[j])
+			}
+		}
 	}
 }
