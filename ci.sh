@@ -107,7 +107,8 @@ go test -run='AllocFree$' ./internal/shard
 
 # scg serve smoke: boot the routing service on an ephemeral port, then
 # route through /route and /route/bulk and check /metrics exposes the
-# route-cache and serve counters and the pprof handlers answer.
+# route-cache and serve counters, counts the table-served pairs, and
+# the pprof handlers answer.
 echo "== scg serve smoke"
 tmpdir=$(mktemp -d)
 serve_pid=""
@@ -154,6 +155,12 @@ grep -q '^scg_route_cache_hits_total ' "$tmpdir/metrics.txt" || {
 }
 grep -q '^scg_serve_bulk_requests_total 1' "$tmpdir/metrics.txt" || {
     echo "/metrics did not count the bulk request" >&2
+    exit 1
+}
+# The default network (k = 5) is served from the fast-lane table, so
+# every pair routed above (1 on /route, 2 on /route/bulk) counts here.
+awk '$1 == "scg_route_table_served_total" && $2 >= 3 { ok = 1 } END { exit !ok }' "$tmpdir/metrics.txt" || {
+    echo "/metrics: scg_route_table_served_total is below the 3 pairs routed" >&2
     exit 1
 }
 grep -q '^scg_stage_decode_ns_count ' "$tmpdir/metrics.txt" || {

@@ -30,10 +30,13 @@
 // binary application/x-scg-bulk frame), both fed through the
 // internal/serve batching pipeline with per-client token-bucket
 // admission (-rate, -burst) and graceful SIGINT drain (-drain-wait).
-// It also exposes the internal/obs registry over HTTP: /metrics
-// (Prometheus text format, per-stage scg_stage_* histograms and the
-// -slo burn-rate gauges included), /metrics.json (the same snapshot
-// as JSON), /trace/routes (the sampled route-trace ring),
+// At k ≤ 9 it serves every pair from a dense fast-lane table
+// (internal/tables) built during start-up, with no route cache; above
+// k = 9 it routes through the route cache in front of the greedy
+// kernel.  It also exposes the internal/obs registry over HTTP:
+// /metrics (Prometheus text format, per-stage scg_stage_* histograms
+// and the -slo burn-rate gauges included), /metrics.json (the same
+// snapshot as JSON), /trace/routes (the sampled route-trace ring),
 // /trace/requests and /trace/chrome (the flight recorder's retained
 // request journeys, as JSON and as a Chrome trace-event document —
 // DESIGN.md §16), /debug/vars (expvar, including the scg_metrics,

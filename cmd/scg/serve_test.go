@@ -99,10 +99,10 @@ func TestServeFlagRoster(t *testing.T) {
 // TestServeCmdFlagRoster pins cmdServe's own knobs with the same
 // exact-roster discipline (the network flags live in addNetFlags, the
 // batching knobs in addServeFlags).  The server runs one router, so no
-// engine-selection or snapshot flag may appear.
+// engine-selection, warm-up or snapshot flag may appear.
 func TestServeCmdFlagRoster(t *testing.T) {
 	flags := flagRegistrations(t, "serve.go", "cmdServe")
-	want := []string{"addr", "trace-sample", "warm", "seed", "skew"}
+	want := []string{"addr", "trace-sample"}
 	for _, name := range want {
 		usage, ok := flags[name]
 		if !ok {
@@ -154,15 +154,15 @@ func TestStatsFlagRoster(t *testing.T) {
 }
 
 // TestServeMuxRouteEndpoints drives /route and /route/bulk through
-// the mux cmdServe binds — the same wiring, minus the listener — and
-// checks the routes against the direct router.
+// the mux and router cmdServe binds — the same wiring, minus the
+// listener — and checks the routes against a direct router.
 func TestServeMuxRouteEndpoints(t *testing.T) {
 	nw, err := core.New(core.MS, 2, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ref := core.NewCachedRouter(nw, core.CacheConfig{})
-	svc := serve.NewService(core.NewCachedRouter(nw, core.CacheConfig{}), serve.ServiceConfig{})
+	svc := serve.NewService(newServeRouter(nw), serve.ServiceConfig{})
 	mux := newServeMux()
 	svc.RegisterOn(mux)
 	srv := httptest.NewServer(mux)

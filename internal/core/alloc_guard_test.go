@@ -9,6 +9,7 @@ package core
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"supercayley/internal/gens"
@@ -81,28 +82,43 @@ func TestAppendRouteRanksWarmAllocFree(t *testing.T) {
 }
 
 // TestRouteManyIntoWarmAllocFree guards the batch-flush primitive the
-// serve pipeline leans on: below the sequential cutoff, re-flushing
-// into a caller-owned BulkRoutes must not allocate once warm.
+// serve pipeline leans on: re-flushing into a caller-owned BulkRoutes
+// must not allocate once warm, from a small batch up to the served
+// 1024-pair request and past it.  It measures with at least two Ps,
+// where a flush that fanned out over goroutines would allocate.
 func TestRouteManyIntoWarmAllocFree(t *testing.T) {
 	nw := MustNew(MS, 7, 1)
 	cr := NewCachedRouter(nw, CacheConfig{})
 	n := perm.Factorial(nw.K())
-	const pairs = 128
-	srcs := make([]int64, pairs)
-	dsts := make([]int64, pairs)
-	for i := range srcs {
-		srcs[i] = int64(i*977) % n
-		dsts[i] = (srcs[i] + 1) % n
-	}
-	out := &BulkRoutes{}
-	if err := cr.RouteManyInto(out, srcs, dsts); err != nil { // warm cache, pool, and out
-		t.Fatal(err)
-	}
-	if avg := testing.AllocsPerRun(100, func() {
-		if err := cr.RouteManyInto(out, srcs, dsts); err != nil {
-			t.Fatal(err)
+	for _, pairs := range []int{128, 1024, 4096} {
+		srcs := make([]int64, pairs)
+		dsts := make([]int64, pairs)
+		for i := range srcs {
+			srcs[i] = int64(i*977) % n
+			dsts[i] = (srcs[i] + 1) % n
 		}
-	}); avg != 0 {
-		t.Fatalf("warm RouteManyInto allocates %.2f objects per batch, want 0", avg)
+		out := &BulkRoutes{}
+		if avg := allocsPerRunParallel(100, func() {
+			if err := cr.RouteManyInto(out, srcs, dsts); err != nil {
+				t.Fatal(err)
+			}
+		}); avg != 0 {
+			t.Fatalf("warm RouteManyInto(%d pairs) allocates %d objects per batch, want 0", pairs, avg)
+		}
 	}
+}
+
+// allocsPerRunParallel is testing.AllocsPerRun without its
+// GOMAXPROCS=1 pin: it runs f once to warm up, then returns the mean
+// allocations of runs more calls, rounded down, at GOMAXPROCS ≥ 2.
+func allocsPerRunParallel(runs int, f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0))))
+	f()
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for range runs {
+		f()
+	}
+	runtime.ReadMemStats(&m1)
+	return (m1.Mallocs - m0.Mallocs) / uint64(runs)
 }

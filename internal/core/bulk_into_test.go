@@ -2,12 +2,15 @@ package core
 
 // RouteManyInto is the flush primitive behind the serve batcher, so
 // its contract gets its own differential: identical routes to
-// RouteMany on every batch size (including sizes straddling the
-// sequential cutoff), caller-owned buffers truncated and reused, and
-// errors surfaced with the failing pair identified.
+// RouteMany on every batch size (up to past the served 1024-pair
+// request), caller-owned buffers truncated and reused, and errors
+// surfaced with the failing pair identified.  A NewTableRouter router
+// with no table installed must give the same bytes through the kernel
+// alone, without a cache.
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"supercayley/internal/perm"
@@ -16,11 +19,12 @@ import (
 func TestRouteManyIntoDifferential(t *testing.T) {
 	nw := MustNew(MS, 2, 2)
 	cr := NewCachedRouter(nw, CacheConfig{})
+	tr := NewTableRouter(nw)
 	n := perm.Factorial(nw.K())
 	r := rand.New(rand.NewSource(9))
 
-	out := &BulkRoutes{}
-	for _, pairs := range []int{1, 2, 63, routeManySeqCutoff - 1, routeManySeqCutoff, routeManySeqCutoff + 117} {
+	out, kernelOut := &BulkRoutes{}, &BulkRoutes{}
+	for _, pairs := range []int{1, 2, 63, 1023, 1024, 1141} {
 		srcs := make([]int64, pairs)
 		dsts := make([]int64, pairs)
 		for i := range srcs {
@@ -38,6 +42,12 @@ func TestRouteManyIntoDifferential(t *testing.T) {
 		if out.Pairs() != want.Pairs() {
 			t.Fatalf("%d pairs: RouteManyInto yields %d routes, RouteMany %d", pairs, out.Pairs(), want.Pairs())
 		}
+		if err := tr.RouteManyInto(kernelOut, srcs, dsts); err != nil {
+			t.Fatalf("table router RouteManyInto(%d pairs): %v", pairs, err)
+		}
+		if !slices.Equal(kernelOut.Offsets, want.Offsets) || !slices.Equal(kernelOut.Steps, want.Steps) {
+			t.Fatalf("%d pairs: the table router without a table routes differently", pairs)
+		}
 		for i := 0; i < pairs; i++ {
 			a, b := out.Route(i), want.Route(i)
 			if len(a) != len(b) {
@@ -49,6 +59,9 @@ func TestRouteManyIntoDifferential(t *testing.T) {
 				}
 			}
 		}
+	}
+	if s := tr.Stats(); s != (CacheStats{}) {
+		t.Fatalf("table router reports cache activity: %v", s)
 	}
 }
 

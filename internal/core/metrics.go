@@ -78,7 +78,7 @@ var (
 	mScratchNew = obs.Default.Counter("scg_route_scratch_new_total",
 		"RouteScratch values newly allocated by router pools (pool recycling keeps this flat)")
 	mTableServed = obs.Default.Counter("scg_route_table_served_total",
-		"routes served by the precomputed quotient table ahead of the LRU")
+		"routes served by the precomputed quotient table ahead of the LRU and the kernel")
 )
 
 // Pipeline stages of the deep routing path, timed for route-trace

@@ -12,12 +12,15 @@ import (
 
 // CachedRouter is the high-throughput routing engine: the zero-alloc
 // kernel of RouteInto behind the symmetry-normalized cache of
-// cache.go, with pooled scratch so it is safe and cheap to call from
+// cache.go, a precomputed quotient table (table.go), or both, with
+// pooled scratch so it is safe and cheap to call from
 // GOMAXPROCS workers concurrently.  Routes come back as compact
 // generator indices; Set().Decode recovers the labelled sequence, and
 // the indices are exactly the sim package's port numbers.
 type CachedRouter struct {
-	nw    *Network
+	nw *Network
+	// cache is the route LRU; nil for a table router (NewTableRouter),
+	// whose table serves every quotient.
 	cache *RouteCache
 	// table, when non-nil, is consulted before the cache (see table.go:
 	// fall-through is table → LRU → greedy kernel).  rankTable is the
@@ -32,7 +35,18 @@ type CachedRouter struct {
 // NewCachedRouter builds a router for nw; the zero CacheConfig picks
 // the defaults (see CacheConfig).
 func NewCachedRouter(nw *Network, cfg CacheConfig) *CachedRouter {
-	cr := &CachedRouter{nw: nw, cache: newRouteCache(cfg, nw.k <= RankKeyMaxK)}
+	cr := NewTableRouter(nw)
+	cr.cache = newRouteCache(cfg, nw.k <= RankKeyMaxK)
+	return cr
+}
+
+// NewTableRouter builds a router with no route LRU, for a network
+// whose quotient table — installed with UseTable, before routing
+// starts — serves every quotient: the fall-through is table → greedy
+// kernel.  Until a table is installed every pair routes through the
+// kernel.
+func NewTableRouter(nw *Network) *CachedRouter {
+	cr := &CachedRouter{nw: nw}
 	cr.scratch.New = func() any {
 		mScratchNew.Inc()
 		return NewRouteScratch(nw.k)
@@ -43,8 +57,13 @@ func NewCachedRouter(nw *Network, cfg CacheConfig) *CachedRouter {
 // Network returns the network the router routes on.
 func (cr *CachedRouter) Network() *Network { return cr.nw }
 
-// Stats returns the cache counters.
-func (cr *CachedRouter) Stats() CacheStats { return cr.cache.Stats() }
+// Stats returns the cache counters (all zero without an LRU).
+func (cr *CachedRouter) Stats() CacheStats {
+	if cr.cache == nil {
+		return CacheStats{}
+	}
+	return cr.cache.Stats()
+}
 
 // quotientKey computes the cache key of quotient w: the exact Lehmer
 // rank for k ≤ RankKeyMaxK, else a 64-bit FNV-1a hash (verified
@@ -101,6 +120,10 @@ func (cr *CachedRouter) appendRoute(dst []gens.GenIndex, u, v perm.Perm, s *Rout
 		}
 		// Declined: s.w is intact, fall through.
 	}
+	if cr.cache == nil {
+		s.hit = false
+		return cr.kernel(dst, s)
+	}
 	key := cr.quotientKey(s.w)
 	if out, ok := cr.cache.get(dst, key, s.w); ok {
 		s.hit = true
@@ -111,14 +134,7 @@ func (cr *CachedRouter) appendRoute(dst []gens.GenIndex, u, v perm.Perm, s *Rout
 	}
 	s.hit = false
 	mark := len(dst)
-	var tk int64
-	if s.timed {
-		tk = obs.NowNs()
-	}
-	dst = cr.nw.appendQuotientRoute(dst, s.w) // consumes s.w
-	if s.timed {
-		StageKernel.Observe(int(tk), uint64(obs.NowNs()-tk))
-	}
+	dst = cr.kernel(dst, s)
 	// Re-derive the quotient for hashed-key storage (s.w is now the
 	// identity); rank-keyed caches never read it.
 	if cr.nw.k > RankKeyMaxK {
@@ -130,6 +146,19 @@ func (cr *CachedRouter) appendRoute(dst []gens.GenIndex, u, v perm.Perm, s *Rout
 		// The miss stage spans the whole cold resolution (kernel included):
 		// stages are independent histograms, not a partition.
 		StageCacheMiss.Observe(int(t0), uint64(obs.NowNs()-t0))
+	}
+	return dst
+}
+
+// kernel appends the greedy route of quotient s.w, consuming it.
+func (cr *CachedRouter) kernel(dst []gens.GenIndex, s *RouteScratch) []gens.GenIndex {
+	var tk int64
+	if s.timed {
+		tk = obs.NowNs()
+	}
+	dst = cr.nw.appendQuotientRoute(dst, s.w)
+	if s.timed {
+		StageKernel.Observe(int(tk), uint64(obs.NowNs()-tk))
 	}
 	return dst
 }
@@ -225,36 +254,17 @@ func (b *BulkRoutes) Route(i int) []gens.GenIndex {
 // TotalHops returns the summed route length.
 func (b *BulkRoutes) TotalHops() int64 { return b.Offsets[len(b.Offsets)-1] }
 
-// routeManySeqCutoff is the batch size below which RouteManyInto
-// routes inline on the calling goroutine instead of fanning out: a
-// warm pair costs well under a microsecond, so the goroutine and
-// buffer setup of the parallel path only pays for itself on batches
-// in the thousands.  The serve batcher's default flush size sits
-// under this cutoff on purpose — its steady-state flush is a
-// zero-allocation sequential pass.
-const routeManySeqCutoff = 1024
-
-// RouteManyInto is RouteMany with caller-owned result storage: out's
-// slices are truncated and reused, growing only when capacity runs
-// out, so a steady-state caller re-flushing into the same BulkRoutes
-// (the serve batcher) allocates nothing once warm.  Batches below
-// routeManySeqCutoff pairs — or any batch when one worker would run —
-// are routed inline; larger ones take the parallel RouteMany path and
-// are copied into out.
+// RouteManyInto is RouteMany with caller-owned result storage, routed
+// inline on the calling goroutine: out's slices are truncated and
+// reused, growing only when capacity runs out, so a steady-state
+// caller re-flushing into the same BulkRoutes (the serve batcher,
+// whose GOMAXPROCS flush workers are the parallelism) allocates
+// nothing once warm.
 func (cr *CachedRouter) RouteManyInto(out *BulkRoutes, srcs, dsts []int64) error {
 	if len(srcs) != len(dsts) {
 		return fmt.Errorf("core: RouteManyInto wants equal-length rank slices (%d vs %d)", len(srcs), len(dsts))
 	}
 	pairs := len(srcs)
-	if pairs >= routeManySeqCutoff && graph.Parallelism(pairs) > 1 {
-		res, err := cr.RouteMany(srcs, dsts)
-		if err != nil {
-			return err
-		}
-		out.Offsets = append(out.Offsets[:0], res.Offsets...)
-		out.Steps = append(out.Steps[:0], res.Steps...)
-		return nil
-	}
 	mBulkCalls.Inc()
 	mBulkPairs.Add(uint64(pairs))
 	out.Offsets = append(out.Offsets[:0], 0)

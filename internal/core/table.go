@@ -8,8 +8,10 @@ package core
 // sees it only through this interface).  The fall-through policy is
 // fixed: table first, then the symmetry-normalized LRU, then the
 // greedy kernel.  A table covering the whole quotient space makes the
-// LRU dead weight on the hot path; a table that declines a quotient
-// leaves it to the LRU and the kernel.
+// LRU dead weight, so a router built by NewTableRouter has none: what
+// its table declines goes straight to the kernel.  That is what `scg
+// serve` runs at k ≤ tables.FastLaneMaxK; above it, the LRU → kernel
+// path with no table.
 
 import (
 	"fmt"
@@ -48,30 +50,12 @@ type RankTable interface {
 	AppendRouteRanks(dst []gens.GenIndex, src, dstRank int64) ([]gens.GenIndex, bool)
 }
 
-// TableConfig selects the precomputed-table routing mode of a
-// CachedRouter.  The zero value routes PR-3 style (LRU → kernel).
-type TableConfig struct {
-	// Table, when non-nil, is consulted before the LRU on every route.
-	Table QuotientTable
-}
-
-// NewCachedRouterWithTable builds a router with the table fall-through
-// installed, validating the table against the network.
-func NewCachedRouterWithTable(nw *Network, cfg CacheConfig, tcfg TableConfig) (*CachedRouter, error) {
-	cr := NewCachedRouter(nw, cfg)
-	if tcfg.Table != nil {
-		if err := cr.UseTable(tcfg.Table); err != nil {
-			return nil, err
-		}
-	}
-	return cr, nil
-}
-
 // UseTable installs (or, with nil, removes) the precomputed quotient
-// table consulted before the LRU.  The table must have been built for
-// this router's network: same symbol count and network name, so its
-// entries decode to the same generator indices.  UseTable is a setup
-// call — it must not race with concurrent routing.
+// table consulted before the LRU — before the kernel on a router from
+// NewTableRouter.  The table must have been built for this router's
+// network: same symbol count and network name, so its entries decode
+// to the same generator indices.  UseTable is a setup call — it must
+// not race with concurrent routing.
 func (cr *CachedRouter) UseTable(t QuotientTable) error {
 	if t == nil {
 		cr.table = nil

@@ -60,7 +60,10 @@ func LehmerDigitsInto(dig []int32, p Perm) int64 {
 // a transposition, and the two boundary digits are recovered from the
 // rank itself, so the cost is O(j−i) plus two divisions — the
 // incremental rerank at the heart of table-mode routing, where every
-// greedy star move is exactly one transposition of the quotient.
+// greedy star move is exactly one transposition of the quotient.  A
+// swap with position 0 (every greedy star move) needs no division:
+// nothing precedes position 0, so both boundary digits follow from
+// the symbols and the pass over the middle.
 //
 //scg:noalloc
 func RankAfterSwap(p Perm, rank int64, i, j int) int64 {
@@ -78,31 +81,26 @@ func RankAfterSwap(p Perm, rank int64, i, j int) int64 {
 	if a == b {
 		return rank
 	}
-	// Current boundary digits, extracted from the rank: digit m is
-	// (rank / (k−1−m)!) mod (k−m).
 	fi, fj := factorials[k-1-i], factorials[k-1-j]
-	di := (rank / fi) % int64(k-i)
-	dj := (rank / fj) % int64(k-j)
 	// One pass over the strictly-between positions: count the symbols
 	// smaller than a and b, and apply each middle digit's ±1 shift
-	// (the symbol at j changes from b to a as seen from m ∈ (i, j)).
+	// (the symbol at j changes from b to a as seen from m ∈ (i, j), so
+	// the digit gains [a < s] − [b < s] = [s < b] − [s < a]).  The pass
+	// is branch-free: the comparisons are data-dependent coin flips.
 	var ca, cb int64
 	delta := int64(0)
 	for m := i + 1; m < j; m++ {
 		s := p[m]
+		var sa, sb int64
 		if s < a {
-			ca++
+			sa = 1
 		}
 		if s < b {
-			cb++
+			sb = 1
 		}
-		if a < s {
-			if b >= s {
-				delta += factorials[k-1-m]
-			}
-		} else if b < s {
-			delta -= factorials[k-1-m]
-		}
+		ca += sa
+		cb += sb
+		delta += (sb - sa) * factorials[k-1-m]
 	}
 	// New boundary digits: position i now holds b, so its digit counts
 	// the smaller symbols beyond i — the middles, a at position j, and
@@ -111,6 +109,19 @@ func RankAfterSwap(p Perm, rank int64, i, j int) int64 {
 	lt := int64(0) // [a < b]
 	if a < b {
 		lt = 1
+	}
+	var di, dj int64
+	if i == 0 {
+		// Every symbol smaller than a lies right of position 0, so
+		// di = a−1; those smaller than b lie at position 0 (a, when
+		// a < b), in the middle (cb), or in j's tail (dj).
+		di = int64(a) - 1
+		dj = int64(b) - 1 - lt - cb
+	} else {
+		// Boundary digits from the rank: digit m is
+		// (rank / (k−1−m)!) mod (k−m).
+		di = (rank / fi) % int64(k-i)
+		dj = (rank / fj) % int64(k-j)
 	}
 	newDi := cb + lt + dj
 	newDj := di - ca - (1 - lt)

@@ -407,33 +407,35 @@ func All(k int, fn func(Perm) bool) {
 		if !fn(p) {
 			return
 		}
-		if !nextLex(p) {
+		if nextLex(p) < 0 {
 			return
 		}
 	}
 }
 
-// Next advances p to its lexicographic (Lehmer-rank) successor in
-// place, returning false when p was already the last permutation.
-// Band builders in internal/tables use UnrankInto once at a band
-// start and Next for every subsequent rank, which is amortized O(1)
-// per step versus O(k log k) for repeated unranking.
+// NextPivot advances p to its lexicographic (Lehmer-rank) successor
+// in place and returns the pivot — the leftmost position that
+// changed, so p[:pivot] is untouched and walkers may keep what depends
+// only on that prefix — or −1 when p was already the last
+// permutation.  Band builders in internal/tables use UnrankInto once
+// at a band start and NextPivot for every subsequent rank, which is
+// amortized O(1) per step versus O(k log k) for repeated unranking.
 //
 //scg:noalloc
-func Next(p Perm) bool { return nextLex(p) }
+func NextPivot(p Perm) int { return nextLex(p) }
 
 // nextLex advances p to its lexicographic successor in place,
-// returning false when p was the last permutation.
+// returning the pivot position, or −1 when p was the last permutation.
 //
 //scg:noalloc
-func nextLex(p Perm) bool {
+func nextLex(p Perm) int {
 	k := len(p)
 	i := k - 2
 	for i >= 0 && p[i] >= p[i+1] {
 		i--
 	}
 	if i < 0 {
-		return false
+		return -1
 	}
 	j := k - 1
 	for p[j] <= p[i] {
@@ -443,5 +445,5 @@ func nextLex(p Perm) bool {
 	for a, b := i+1, k-1; a < b; a, b = a+1, b-1 {
 		p[a], p[b] = p[b], p[a]
 	}
-	return true
+	return i
 }

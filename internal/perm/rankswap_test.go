@@ -105,23 +105,34 @@ func TestRankSwapUpdate(t *testing.T) {
 	}
 }
 
-// TestNext checks the exported successor against the All enumeration
-// order and the Rank sequence.
+// TestNext checks the exported successor NextPivot against the Rank
+// sequence, and the pivot it reports: the successor keeps p[:pivot]
+// and changes p[pivot], and the last permutation reports −1 and stays
+// put.
 func TestNext(t *testing.T) {
 	for k := 1; k <= 7; k++ {
 		p := Identity(k)
+		prev := make(Perm, k)
 		var rank int64
 		for {
 			if got := p.Rank(); got != rank {
-				t.Fatalf("k=%d: Next visits rank %d at step %d", k, got, rank)
+				t.Fatalf("k=%d: NextPivot visits rank %d at step %d", k, got, rank)
 			}
-			if !Next(p) {
+			copy(prev, p)
+			pivot := NextPivot(p)
+			if pivot < 0 {
+				if !p.Equal(prev) {
+					t.Fatalf("k=%d: NextPivot moved the last permutation %v", k, prev)
+				}
 				break
+			}
+			if !p[:pivot].Equal(prev[:pivot]) || p[pivot] == prev[pivot] {
+				t.Fatalf("k=%d: %v → %v reports pivot %d", k, prev, p, pivot)
 			}
 			rank++
 		}
 		if rank != Factorial(k)-1 {
-			t.Fatalf("k=%d: Next enumerated %d perms, want %d", k, rank+1, Factorial(k))
+			t.Fatalf("k=%d: NextPivot enumerated %d perms, want %d", k, rank+1, Factorial(k))
 		}
 	}
 }

@@ -326,27 +326,16 @@ func (e *Engine) TableBytes() int64 {
 	return 0
 }
 
-// RouteManyInto implements core.Router with the same sequential
-// cutoff as CachedRouter: small batches (the serve batcher's steady
-// state) route inline into caller-owned storage with zero allocations
-// once warm, larger ones fan out through RouteMany.
+// RouteManyInto implements core.Router the way CachedRouter does:
+// every batch routes inline into caller-owned storage, with zero
+// allocations once warm; RouteMany is the parallel entry.
 func (e *Engine) RouteManyInto(out *core.BulkRoutes, srcs, dsts []int64) error {
 	if len(srcs) != len(dsts) {
 		return fmt.Errorf("shard: RouteManyInto wants equal-length rank slices (%d vs %d)", len(srcs), len(dsts))
 	}
-	pairs := len(srcs)
-	if pairs >= routeManySeqCutoff && graph.Parallelism(pairs) > 1 {
-		res, err := e.RouteMany(srcs, dsts)
-		if err != nil {
-			return err
-		}
-		out.Offsets = append(out.Offsets[:0], res.Offsets...)
-		out.Steps = append(out.Steps[:0], res.Steps...)
-		return nil
-	}
 	out.Offsets = append(out.Offsets[:0], 0)
 	out.Steps = out.Steps[:0]
-	for i := 0; i < pairs; i++ {
+	for i := range srcs {
 		var err error
 		out.Steps, err = e.AppendRouteRanks(out.Steps, srcs[i], dsts[i])
 		if err != nil {
@@ -356,10 +345,6 @@ func (e *Engine) RouteManyInto(out *core.BulkRoutes, srcs, dsts []int64) error {
 	}
 	return nil
 }
-
-// routeManySeqCutoff mirrors core's: below it the goroutine fan-out
-// costs more than it saves.
-const routeManySeqCutoff = 1024
 
 // RouteMany implements core.Router: pair chunks fan out over
 // graph.Parallelism workers, each appending into its own buffer, and

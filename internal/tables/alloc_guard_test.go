@@ -41,16 +41,17 @@ func TestDenseLookupAllocFree(t *testing.T) {
 
 // TestRouterTableWarmAllocFree guards the full routing entry point
 // with the table installed: rank unranking, quotient formation, table
-// walk, and telemetry, end to end through CachedRouter.
+// walk, and telemetry, end to end through the LRU-free router `scg
+// serve` runs.
 func TestRouterTableWarmAllocFree(t *testing.T) {
 	nw := core.MustNew(core.MS, 7, 1)
 	tab, err := Build(nw, Config{})
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
-	cr, err := core.NewCachedRouterWithTable(nw, core.CacheConfig{}, core.TableConfig{Table: tab})
-	if err != nil {
-		t.Fatalf("NewCachedRouterWithTable: %v", err)
+	cr := core.NewTableRouter(nw)
+	if err := cr.UseTable(tab); err != nil {
+		t.Fatalf("UseTable: %v", err)
 	}
 	dst := make([]gens.GenIndex, 0, 256)
 	n := nw.N()
@@ -71,5 +72,40 @@ func TestRouterTableWarmAllocFree(t *testing.T) {
 		dst, _ = cr.AppendRouteRanks(dst[:0], rk, (rk+1)%n)
 	}); avg != 0 {
 		t.Fatalf("warm table-mode AppendRouteRanks allocates %.2f objects per call, want 0", avg)
+	}
+}
+
+// TestRouteManyIntoTableWarmAllocFree is TestRouteManyIntoWarmAllocFree
+// on the router `scg serve` runs at k ≤ FastLaneMaxK: no LRU, the
+// dense table installed, every pair on the rank lane.
+func TestRouteManyIntoTableWarmAllocFree(t *testing.T) {
+	nw := core.MustNew(core.MS, 7, 1)
+	tab, err := Build(nw, Config{})
+	if err != nil {
+		t.Fatalf("Build: %v", err)
+	}
+	cr := core.NewTableRouter(nw)
+	if err := cr.UseTable(tab); err != nil {
+		t.Fatalf("UseTable: %v", err)
+	}
+	n := nw.N()
+	for _, pairs := range []int{128, 1024, 4096} {
+		srcs := make([]int64, pairs)
+		dsts := make([]int64, pairs)
+		for i := range srcs {
+			srcs[i] = int64(i*977) % n
+			dsts[i] = (srcs[i] + 1) % n
+		}
+		out := &core.BulkRoutes{}
+		if err := cr.RouteManyInto(out, srcs, dsts); err != nil { // warm the pool and out
+			t.Fatal(err)
+		}
+		if avg := testing.AllocsPerRun(100, func() {
+			if err := cr.RouteManyInto(out, srcs, dsts); err != nil {
+				t.Fatal(err)
+			}
+		}); avg != 0 {
+			t.Fatalf("warm table-router RouteManyInto(%d pairs) allocates %.2f objects per batch, want 0", pairs, avg)
+		}
 	}
 }

@@ -19,9 +19,10 @@
 //
 // Tables are dense: one flat []uint8 of length k! (k ≤ DenseMaxK),
 // built in parallel by a worker pool walking rank bands
-// (perm.UnrankInto at the band start, perm.Next per step).  k = 10 is
-// 3 628 800 bytes.  A table carries its own copy of the dimension
-// expansions; core.CachedRouter.UseTable re-validates name and k.
+// (perm.UnrankInto at the band start, perm.NextPivot per step).
+// k = 10 is 3 628 800 bytes.  A table carries its own copy of the
+// dimension expansions; core.CachedRouter.UseTable re-validates name
+// and k.
 //
 // Tables at k ≤ FastLaneMaxK additionally carry two derived fast-lane
 // arrays: the successor-rank array (each entry's incremental rerank,
@@ -150,20 +151,35 @@ func buildRange(dims, perms []uint8, next []uint32, k int, n int64, workers int)
 				}
 				end := min(start+chunk, n)
 				perm.UnrankInto(p, start)
+				// d and the successor offset depend only on p[:dep]:
+				// GreedyDim reads up to the greedy position j = d−1,
+				// and swapping positions 0 and j rewrites only Lehmer
+				// digits 0..j, each a function of p[:j+1] and the set
+				// of symbols after j.  So both hold while NextPivot
+				// leaves p[:dep] alone — most steps when j is small.
+				var d uint8
+				var step int64
+				dep, pivot := k, 0 // pivot < dep: compute at the band start
 				for r := start; r < end; r++ {
-					d := uint8(core.GreedyDim(p))
+					if pivot < dep {
+						d = uint8(core.GreedyDim(p))
+						dep = k // identity: self-loop, never chased
+						step = 0
+						if d != 0 {
+							dep = int(d)
+							if next != nil {
+								step = perm.RankAfterSwap(p, r, 0, dep-1) - r
+							}
+						}
+					}
 					dims[r] = d
 					if perms != nil {
 						copy(perms[r*int64(k):], p)
 					}
 					if next != nil {
-						if d == 0 {
-							next[r] = uint32(r) // identity: self-loop, never chased
-						} else {
-							next[r] = uint32(perm.RankAfterSwap(p, r, 0, int(d)-1))
-						}
+						next[r] = uint32(r + step)
 					}
-					perm.Next(p)
+					pivot = perm.NextPivot(p)
 				}
 			}
 		}()

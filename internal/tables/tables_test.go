@@ -2,6 +2,7 @@ package tables
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"supercayley/internal/core"
@@ -99,41 +100,44 @@ func (d oddDecliner) AppendQuotientRoute(dst []gens.GenIndex, w perm.Perm) ([]ge
 
 // TestRouterFallThrough wires a table into CachedRouter and checks
 // end-to-end pair routes against a table-less router, plus the
-// decline → LRU → kernel path.
+// decline → LRU → kernel path and, without an LRU, decline → kernel.
 func TestRouterFallThrough(t *testing.T) {
 	nw := core.MustNew(core.MS, 2, 2)
 	tab, err := Build(nw, Config{})
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
-	withTable, err := core.NewCachedRouterWithTable(nw, core.CacheConfig{}, core.TableConfig{Table: oddDecliner{tab}})
-	if err != nil {
-		t.Fatalf("NewCachedRouterWithTable: %v", err)
+	withTable := core.NewCachedRouter(nw, core.CacheConfig{})
+	noLRU := core.NewTableRouter(nw)
+	for _, cr := range []*core.CachedRouter{withTable, noLRU} {
+		if err := cr.UseTable(oddDecliner{tab}); err != nil {
+			t.Fatalf("UseTable: %v", err)
+		}
 	}
 	plain := core.NewCachedRouter(nw, core.CacheConfig{})
 	r := rand.New(rand.NewSource(7))
 	n := nw.N()
 	for trial := 0; trial < 2000; trial++ {
 		src, dst := r.Int63n(n), r.Int63n(n)
-		a, err := withTable.AppendRouteRanks(nil, src, dst)
-		if err != nil {
-			t.Fatalf("table route %d→%d: %v", src, dst, err)
-		}
 		b, err := plain.AppendRouteRanks(nil, src, dst)
 		if err != nil {
 			t.Fatalf("plain route %d→%d: %v", src, dst, err)
 		}
-		if len(a) != len(b) {
-			t.Fatalf("route %d→%d: %d steps with table, %d without", src, dst, len(a), len(b))
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("route %d→%d: port %d differs (%d vs %d)", src, dst, i, a[i], b[i])
+		for _, cr := range []*core.CachedRouter{withTable, noLRU} {
+			a, err := cr.AppendRouteRanks(nil, src, dst)
+			if err != nil {
+				t.Fatalf("table route %d→%d: %v", src, dst, err)
+			}
+			if !slices.Equal(a, b) {
+				t.Fatalf("route %d→%d: %v with table, %v without", src, dst, a, b)
 			}
 		}
 	}
 	if s := withTable.Stats(); s.Hits+s.Misses == 0 {
 		t.Fatal("no declined quotient reached the LRU")
+	}
+	if s := noLRU.Stats(); s != (core.CacheStats{}) {
+		t.Fatalf("LRU-free router reports cache activity: %v", s)
 	}
 }
 
@@ -150,9 +154,9 @@ func TestRankLaneDifferentialTenFamilies(t *testing.T) {
 		if _, ok := tab.AppendRouteRanks(nil, 0, 0); !ok {
 			t.Fatalf("%s: dense table at k=%d has no rank lane", nw.Name(), nw.K())
 		}
-		withTable, err := core.NewCachedRouterWithTable(nw, core.CacheConfig{}, core.TableConfig{Table: tab})
-		if err != nil {
-			t.Fatalf("%s: NewCachedRouterWithTable: %v", nw.Name(), err)
+		withTable := core.NewTableRouter(nw)
+		if err := withTable.UseTable(tab); err != nil {
+			t.Fatalf("%s: UseTable: %v", nw.Name(), err)
 		}
 		plain := core.NewCachedRouter(nw, core.CacheConfig{})
 		n := nw.N()
@@ -242,6 +246,39 @@ func TestBuildModes(t *testing.T) {
 		t.Fatal("k=10 table served a rank-lane route without a slab")
 	}
 	diffSampledQuotients(t, big, tab, 200)
+}
+
+// TestFastLaneArrays checks every entry the builder writes at k = 8
+// against its definition: the slab row is Unrank(r), dims is
+// GreedyDim, and next is the full rank of the permutation after the
+// greedy star move.  Three workers put band starts mid-block, where
+// the builder's per-prefix reuse restarts.
+func TestFastLaneArrays(t *testing.T) {
+	nw := core.MustNew(core.MS, 7, 1)
+	tab, err := Build(nw, Config{Workers: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := nw.K()
+	p := make(perm.Perm, k)
+	for r := int64(0); r < nw.N(); r++ {
+		perm.UnrankInto(p, r)
+		if !perm.Perm(tab.perms[r*int64(k) : (r+1)*int64(k)]).Equal(p) {
+			t.Fatalf("rank %d: slab row %v, want %v", r, tab.perms[r*int64(k):(r+1)*int64(k)], p)
+		}
+		d := core.GreedyDim(p)
+		if int(tab.dims[r]) != d {
+			t.Fatalf("rank %d: dims %d, want %d", r, tab.dims[r], d)
+		}
+		want := r
+		if d != 0 {
+			p[0], p[d-1] = p[d-1], p[0]
+			want = p.Rank()
+		}
+		if int64(tab.next[r]) != want {
+			t.Fatalf("rank %d: next %d, want %d", r, tab.next[r], want)
+		}
+	}
 }
 
 // diffSampledQuotients checks n seeded quotients of a network too big
