@@ -78,7 +78,8 @@ go test -race -count=2 ./internal/serve
 # allocation-regression guards (tagged !race — sync.Pool drops items
 # under the race detector, so they cannot run in the -race pass).
 # TestAppendRouteRanksWarmAllocFree is the telemetry gate: it proves
-# the instrumented warm path (hop page + sampler) still allocates zero.
+# the instrumented warm path (the scratch hop page) still allocates
+# zero.
 echo "== bench smoke (-bench=Route -benchtime=1x) + alloc guards"
 go test -run='AllocFree$' -bench=Route -benchtime=1x ./internal/core
 
@@ -148,6 +149,26 @@ grep -q '"count":2' "$tmpdir/bulk.json" || {
     echo "/route/bulk did not answer both pairs: $(cat "$tmpdir/bulk.json")" >&2
     exit 1
 }
+# Stage reconciliation: every scg_stage_* observation comes from a
+# finished request journey, so the stage histogram sums on /metrics
+# add up to the summed total_ns of the journeys on /trace/requests,
+# which retains both smoke requests (the window tail keeps the first
+# 16).  A handler finishes its journey after it writes the response,
+# so retry briefly before failing.
+stage_ns="" journey_ns="" journeys=""
+for _ in 1 2 3 4 5 6 7 8 9 10; do
+    curl -fsS "http://$addr/metrics" >"$tmpdir/metrics.txt"
+    curl -fsS "http://$addr/trace/requests" >"$tmpdir/trace.json"
+    stage_ns=$(awk '$1 ~ /^scg_stage_.*_ns_sum$/ { s += $2 } END { printf "%d", s }' "$tmpdir/metrics.txt")
+    journey_ns=$(jq '[.[].total_ns] | add // 0' "$tmpdir/trace.json")
+    journeys=$(jq 'length' "$tmpdir/trace.json")
+    if [ "$journeys" -eq 2 ] && [ "$stage_ns" = "$journey_ns" ]; then break; fi
+    sleep 0.2
+done
+if [ "$journeys" -ne 2 ] || [ "$stage_ns" != "$journey_ns" ]; then
+    echo "stage sums do not tile the request journeys: scg_stage_*_ns_sum total ${stage_ns}ns, $journeys journeys total ${journey_ns}ns" >&2
+    exit 1
+fi
 curl -fsS "http://$addr/metrics" >"$tmpdir/metrics.txt"
 grep -q '^scg_route_cache_hits_total ' "$tmpdir/metrics.txt" || {
     echo "/metrics is missing scg_route_cache_hits_total" >&2

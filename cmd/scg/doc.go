@@ -36,18 +36,16 @@
 // kernel.  It also exposes the internal/obs registry over HTTP:
 // /metrics (Prometheus text format, per-stage scg_stage_* histograms
 // and the -slo burn-rate gauges included), /metrics.json (the same
-// snapshot as JSON), /trace/routes (the sampled route-trace ring),
-// /trace/requests and /trace/chrome (the flight recorder's retained
-// request journeys, as JSON and as a Chrome trace-event document —
-// DESIGN.md §16), /debug/vars (expvar, including the scg_metrics,
+// snapshot as JSON), /trace/requests and /trace/chrome (the flight
+// recorder's retained request journeys, as JSON and as a Chrome
+// trace-event document — DESIGN.md §16), /debug/vars (expvar, including the scg_metrics,
 // scg_route_cache and scg_flight maps), and /debug/pprof/* (the
 // standard profiling handlers).  Its connections carry fixed read,
 // write and idle timeouts, so a stalled client cannot pin the server
 // or stall drain.  perfbench/ benchmarks the service end to end.
-// `scg stats` routes a seeded workload and dumps
-// the registry once to stdout (-stages prints the cumulative stage
-// table instead).  `scg bench-obs` times the warm routing hot path
-// with telemetry disabled and enabled, brackets the flight recorder
-// the same way, and reports the overhead percentages, which
+// `scg stats` routes a seeded workload and dumps the registry once to
+// stdout.  `scg bench-obs` times the warm routing hot path with
+// telemetry disabled and enabled, brackets the flight recorder the
+// same way, and reports the overhead percentages, which
 // BENCH_obs.json snapshots and DESIGN.md §11/§16 budget at under 2%.
 package main

@@ -85,7 +85,7 @@ commands:
   tasks     simulate MNB / TE communication tasks (Corollaries 2–3)
   faults    inject node/link faults, reroute adaptively, report degradation
   bench-obs measure telemetry overhead (obs disabled vs enabled), write BENCH_obs.json
-  serve     routing service + debug endpoint: /route, /route/bulk (batched, admission-controlled), /metrics, /metrics.json, /trace/routes, /debug/vars, /debug/pprof/*
+  serve     routing service + debug endpoint: /route, /route/bulk (batched, admission-controlled), /metrics, /metrics.json, /trace/requests, /trace/chrome, /debug/vars, /debug/pprof/*
   stats     route a seeded workload, then dump the metrics registry once
   export    write the network as Graphviz DOT
   compare   degree/diameter table across families and k

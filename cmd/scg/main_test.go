@@ -101,15 +101,13 @@ func get(t *testing.T, srv *httptest.Server, path string) []byte {
 
 // TestServeMuxEndpoints drives the scg serve mux end to end after a
 // real routed workload: /metrics carries the route-cache counters,
-// /metrics.json and /trace/routes parse as JSON, /debug/vars exposes
-// the published expvar maps, and the pprof handlers answer.
+// /metrics.json parses as JSON, /debug/vars exposes the published
+// expvar maps, and the pprof handlers answer.
 func TestServeMuxEndpoints(t *testing.T) {
 	nw, err := core.New(core.MS, 2, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	obs.RouteTrace.SetSampling(1)
-	defer obs.RouteTrace.SetSampling(64)
 	if _, err := routeWorkload(nw, 500, 1, 1.2); err != nil {
 		t.Fatalf("routeWorkload: %v", err)
 	}
@@ -138,24 +136,11 @@ func TestServeMuxEndpoints(t *testing.T) {
 		t.Errorf("/metrics.json snapshot is empty: %+v", snap)
 	}
 
-	var events []obs.TraceEvent
-	if err := json.Unmarshal(get(t, srv, "/trace/routes"), &events); err != nil {
-		t.Fatalf("/trace/routes: %v", err)
-	}
-	if len(events) == 0 {
-		t.Error("/trace/routes empty after a fully sampled workload")
-	}
-	for _, ev := range events {
-		if ev.Hops < 0 || len(ev.Steps) > ev.Hops {
-			t.Errorf("trace event has %d steps for %d hops", len(ev.Steps), ev.Hops)
-		}
-	}
-
 	var vars map[string]json.RawMessage
 	if err := json.Unmarshal(get(t, srv, "/debug/vars"), &vars); err != nil {
 		t.Fatalf("/debug/vars: %v", err)
 	}
-	for _, want := range []string{"scg_metrics", "scg_route_trace", "scg_route_cache"} {
+	for _, want := range []string{"scg_metrics", "scg_route_cache"} {
 		if _, ok := vars[want]; !ok {
 			t.Errorf("/debug/vars missing %q", want)
 		}
@@ -163,15 +148,5 @@ func TestServeMuxEndpoints(t *testing.T) {
 
 	if body := get(t, srv, "/debug/pprof/cmdline"); len(body) == 0 {
 		t.Error("/debug/pprof/cmdline returned an empty body")
-	}
-}
-
-// TestServeRejectsBadSampleInterval pins the power-of-two check, which
-// must fire before any state is touched or a listener is bound.
-func TestServeRejectsBadSampleInterval(t *testing.T) {
-	for _, interval := range []string{"0", "3", "100"} {
-		if err := cmdServe([]string{"-trace-sample", interval}); err == nil {
-			t.Errorf("cmdServe accepted -trace-sample %s", interval)
-		}
 	}
 }

@@ -23,7 +23,6 @@ import (
 	"supercayley/internal/core"
 	"supercayley/internal/gens"
 	"supercayley/internal/obs"
-	"supercayley/internal/perm"
 	"supercayley/internal/serve"
 	"supercayley/internal/sim"
 	"supercayley/internal/tables"
@@ -46,19 +45,6 @@ func newServeMux() *http.ServeMux {
 		}
 		w.Header().Set("Content-Type", "application/json")
 		w.Write(blob)
-	})
-	mux.HandleFunc("/trace/routes", func(w http.ResponseWriter, _ *http.Request) {
-		events := obs.RouteTrace.Snapshot()
-		if events == nil {
-			events = []obs.TraceEvent{} // render an empty ring as [], not null
-		}
-		blob, err := json.MarshalIndent(events, "", "  ")
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		w.Write(append(blob, '\n'))
 	})
 	mux.HandleFunc("/trace/requests", func(w http.ResponseWriter, _ *http.Request) {
 		events := obs.Flight.Snapshot()
@@ -88,8 +74,8 @@ func newServeMux() *http.ServeMux {
 }
 
 // routeWorkload routes a seeded zipfian workload through a fresh
-// cached engine on nw, populating the registry, the route cache
-// collectors, and the route tracer as a side effect.
+// cached engine on nw, populating the registry and the route cache
+// collectors as a side effect.
 func routeWorkload(nw *core.Network, pairs int, seed int64, skew float64) (sim.ThroughputResult, error) {
 	nt, err := comm.SCGNet(nw)
 	if err != nil {
@@ -98,26 +84,6 @@ func routeWorkload(nw *core.Network, pairs int, seed int64, skew float64) (sim.T
 	engine := comm.NewSCGEngine(nw)
 	wl := sim.ZipfWorkload(nt.N(), pairs, seed, skew)
 	return sim.Throughput(nt, engine.AppendRoute, wl)
-}
-
-// routeRankWorkload routes a seeded zipfian workload through a fresh
-// cached router by Lehmer rank — the rank-addressed entry point is the
-// one that samples the deep stage timers (cache hit, table walk,
-// kernel), so `scg stats -stages` has a breakdown to print.
-func routeRankWorkload(nw *core.Network, pairs int, seed int64, skew float64) (float64, error) {
-	cr := core.NewCachedRouter(nw, core.CacheConfig{})
-	nodes := perm.Factorial(nw.K())
-	wl := sim.ZipfWorkload(int(nodes), pairs, seed, skew)
-	var buf []gens.GenIndex
-	t0 := time.Now()
-	for i := 0; i < wl.Pairs(); i++ {
-		var err error
-		buf, err = cr.AppendRouteRanks(buf[:0], int64(wl.Srcs[i]), int64(wl.Dsts[i]))
-		if err != nil {
-			return 0, err
-		}
-	}
-	return float64(wl.Pairs()) / time.Since(t0).Seconds(), nil
 }
 
 // newServeRouter returns the router `scg serve` routes nw with.  At
@@ -217,14 +183,9 @@ func (sf *serveFlags) serviceConfig() serve.ServiceConfig {
 func cmdServe(args []string) error {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
 	addr := fs.String("addr", "localhost:8650", "listen address (use :0 for an ephemeral port)")
-	sample := fs.Uint64("trace-sample", 64, "route-trace sampling interval (power of two; 1 = every route)")
 	nf := addNetFlags(fs)
 	sf := addServeFlags(fs)
 	fs.Parse(args)
-	if *sample == 0 || *sample&(*sample-1) != 0 {
-		return fmt.Errorf("-trace-sample must be a power of two, got %d", *sample)
-	}
-	obs.RouteTrace.SetSampling(*sample)
 	nw, err := nf.network()
 	if err != nil {
 		return err
@@ -248,7 +209,7 @@ func cmdServe(args []string) error {
 		return err
 	}
 	fmt.Printf("scg serve: routing %s, listening on http://%s\n", nw.Name(), ln.Addr())
-	fmt.Println("scg serve: endpoints: /route /route/bulk /metrics /metrics.json /trace/routes /trace/requests /trace/chrome /debug/vars /debug/pprof/")
+	fmt.Println("scg serve: endpoints: /route /route/bulk /metrics /metrics.json /trace/requests /trace/chrome /debug/vars /debug/pprof/")
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -314,25 +275,7 @@ func cmdStats(args []string) error {
 	seed := fs.Int64("seed", 1, "workload seed")
 	skew := fs.Float64("skew", 1.2, "zipf exponent (> 1)")
 	format := fs.String("format", "prom", "dump format: prom or json")
-	stages := fs.Bool("stages", false, "print the per-stage latency breakdown instead of the metric dump (routes by rank so the sampled deep-stage timers fire)")
 	fs.Parse(args)
-	if *stages {
-		if *pairs > 0 {
-			nw, err := nf.network()
-			if err != nil {
-				return err
-			}
-			pps, err := routeRankWorkload(nw, *pairs, *seed, *skew)
-			if err != nil {
-				return err
-			}
-			fmt.Fprintf(os.Stderr, "scg stats: routed %d rank pairs on %s (%.0f pairs/s)\n",
-				*pairs, nw.Name(), pps)
-		}
-		snap := obs.Default.Snapshot()
-		fmt.Print("stage breakdown (cumulative):\n" + obs.FormatStageTable(obs.StageBreakdown(nil, &snap)))
-		return nil
-	}
 	if *pairs > 0 {
 		nw, err := nf.network()
 		if err != nil {

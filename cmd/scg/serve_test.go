@@ -102,7 +102,7 @@ func TestServeFlagRoster(t *testing.T) {
 // engine-selection, warm-up or snapshot flag may appear.
 func TestServeCmdFlagRoster(t *testing.T) {
 	flags := flagRegistrations(t, "serve.go", "cmdServe")
-	want := []string{"addr", "trace-sample"}
+	want := []string{"addr"}
 	for _, name := range want {
 		usage, ok := flags[name]
 		if !ok {
@@ -134,12 +134,12 @@ func TestProfileFlagRoster(t *testing.T) {
 	}
 }
 
-// TestStatsFlagRoster pins cmdStats's own knobs (-stages included)
-// with the same exact-roster discipline; the shared network flags live
-// in addNetFlags and are rostered elsewhere.
+// TestStatsFlagRoster pins cmdStats's own knobs with the same
+// exact-roster discipline; the shared network flags live in
+// addNetFlags and are rostered elsewhere.
 func TestStatsFlagRoster(t *testing.T) {
 	flags := flagRegistrations(t, "serve.go", "cmdStats")
-	want := []string{"pairs", "seed", "skew", "format", "stages"}
+	want := []string{"pairs", "seed", "skew", "format"}
 	for _, name := range want {
 		usage, ok := flags[name]
 		if !ok {

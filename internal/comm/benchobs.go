@@ -24,8 +24,7 @@ import (
 var stBench = obs.NewStage("bench_route_window")
 
 // benchObsBatch is the pairs per synthetic journey in the recorder
-// bracket — the serve pipeline's default flush size, and under core's
-// sequential-flush cutoff so the batch routes inline.
+// bracket — the serve pipeline's default flush size.
 const benchObsBatch = 512
 
 // ObsBenchConfig parameterizes BenchObs.  The zero value is filled
@@ -92,7 +91,7 @@ type ObsBenchReport struct {
 
 	// Flight-recorder bracket: the same warm workload routed in
 	// batch-sized journeys (one Begin/Mark/Finish per benchObsBatch
-	// pairs) with the recorder and the sampled stage timers off vs on.
+	// pairs) with the recorder off vs on.
 	RecorderOffPairsPerSec float64 `json:"recorder_off_pairs_per_sec"`
 	RecorderOnPairsPerSec  float64 `json:"recorder_on_pairs_per_sec"`
 	RecorderOverheadPct    float64 `json:"recorder_overhead_pct"`
@@ -168,9 +167,9 @@ func BenchObs(cfg ObsBenchConfig) (*ObsBenchReport, error) {
 
 	// Flight-recorder bracket: route the same warm workload by rank in
 	// batch-sized synthetic journeys — both sides run the identical
-	// Begin/Mark/Finish sequence, the off side with the recorder and the
-	// sampled deep-stage timers disabled, so the delta is exactly what
-	// turning the recorder on costs the serving pipeline.
+	// Begin/Mark/Finish sequence, the off side with the recorder
+	// disabled, so the delta is exactly what turning the recorder on
+	// costs the serving pipeline.
 	srcs64 := make([]int64, wl.Pairs())
 	dsts64 := make([]int64, wl.Pairs())
 	for i := range srcs64 {
@@ -207,15 +206,12 @@ func BenchObs(cfg ObsBenchConfig) (*ObsBenchReport, error) {
 		name string
 		on   bool
 	}{{"recorder_off", false}, {"recorder_on", true}}
-	defer obs.SetStageTiming(true)
 	defer obs.Flight.SetEnabled(true)
 	for round := 0; round < cfg.Rounds; round++ {
 		for _, mode := range recModes {
 			runtime.GC()
-			obs.SetStageTiming(mode.on)
 			obs.Flight.SetEnabled(mode.on)
 			entry, err := routeBatched()
-			obs.SetStageTiming(true)
 			obs.Flight.SetEnabled(true)
 			if err != nil {
 				return nil, err

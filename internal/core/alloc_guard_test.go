@@ -51,16 +51,14 @@ func TestAppendRouteWarmAllocFree(t *testing.T) {
 }
 
 // TestAppendRouteRanksWarmAllocFree guards the fully instrumented
-// rank-addressed path — histogram observation, trace sampling check,
-// and (for sampled pairs) the ring-buffer Record — end to end.
+// rank-addressed path — the scratch-page hop observation and its
+// periodic flush — end to end.
 func TestAppendRouteRanksWarmAllocFree(t *testing.T) {
 	nw := MustNew(MS, 7, 1)
 	cr := NewCachedRouter(nw, CacheConfig{})
 	dst := make([]gens.GenIndex, 0, 256)
 	n := perm.Factorial(nw.K())
-	// Route a spread of pairs, some of which the 1-in-64 sampler keeps,
-	// so the guard covers the Record path too (Record copies into a
-	// preallocated ring slot and must not allocate).
+	// Route a spread of pairs, enough to flush the hop page.
 	ranks := make([]int64, 64)
 	for i := range ranks {
 		ranks[i] = int64(i*977) % n

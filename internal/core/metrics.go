@@ -2,12 +2,12 @@ package core
 
 // Telemetry for the routing engine, registered on obs.Default.
 //
-// The hot path pays for one PLAIN increment per routed pair (plus the
-// sampled-tracer hash check): hop observations accumulate in a private
-// histogram page on the caller's pooled RouteScratch — exclusively
-// owned, so no atomics — and flush to the shared striped histogram
-// every hopFlushEvery routes.  Routes-total and hops-total fall out of
-// the histogram's count and exact sum, and the cache
+// The hot path pays for one PLAIN increment per routed pair: hop
+// observations accumulate in a private histogram page on the caller's
+// pooled RouteScratch — exclusively owned, so no atomics — and flush
+// to the shared striped histogram every hopFlushEvery routes.
+// Routes-total and hops-total fall out of the histogram's count and
+// exact sum, and the cache
 // hit/miss/eviction counters are NOT incremented per route — the
 // shards already count under their own mutexes, so the registry reads
 // them at snapshot time through callback metrics over a roster of
@@ -79,17 +79,6 @@ var (
 		"RouteScratch values newly allocated by router pools (pool recycling keeps this flat)")
 	mTableServed = obs.Default.Counter("scg_route_table_served_total",
 		"routes served by the precomputed quotient table ahead of the LRU and the kernel")
-)
-
-// Pipeline stages of the deep routing path, timed for route-trace
-// sampled pairs (see RouteScratch.timed).  Exported so the shard
-// engine attributes its per-worker cache and kernel time to the same
-// stages.
-var (
-	StageCacheHit  = obs.NewStage("route_cache_hit")
-	StageCacheMiss = obs.NewStage("route_cache_miss")
-	StageTableWalk = obs.NewStage("table_walk")
-	StageKernel    = obs.NewStage("route_kernel")
 )
 
 // liveCaches is the roster the cache collectors aggregate over; every

@@ -3,8 +3,8 @@ package core
 // Microbenchmark companion to `scg bench-obs`: the warm
 // AppendRouteRanks path with telemetry on vs off, single-threaded.
 // The per-route delta between the two is the true cost of the
-// always-on instrumentation (scratch-page hop observation + sampler
-// hash); compare with
+// always-on instrumentation (the scratch-page hop observation);
+// compare with
 //
 //	go test -run=NONE -bench=WarmRanksObs -benchtime=3000000x -count=3 ./internal/core
 //

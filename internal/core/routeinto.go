@@ -23,12 +23,10 @@ import (
 // goroutine needs.  A scratch value must not be shared between
 // concurrent callers; CachedRouter pools them internally.
 type RouteScratch struct {
-	u, v  perm.Perm       // unranked endpoints (rank-based entry points)
-	inv   perm.Perm       // v⁻¹
-	w     perm.Perm       // quotient v⁻¹∘u, consumed in place by the sort
-	idx   []gens.GenIndex // spare index buffer for length-only probes
-	hit   bool            // whether the last cached lookup was a hit
-	timed bool            // whether this route is stage-timed (route-trace sampled)
+	u, v perm.Perm       // unranked endpoints (rank-based entry points)
+	inv  perm.Perm       // v⁻¹
+	w    perm.Perm       // quotient v⁻¹∘u, consumed in place by the sort
+	idx  []gens.GenIndex // spare index buffer for length-only probes
 
 	// Private hop-histogram page (see observeHops in metrics.go):
 	// plain-increment batching for the shared striped histogram.

@@ -6,7 +6,6 @@ import (
 
 	"supercayley/internal/gens"
 	"supercayley/internal/graph"
-	"supercayley/internal/obs"
 	"supercayley/internal/perm"
 )
 
@@ -91,7 +90,6 @@ func (cr *CachedRouter) quotientKey(w perm.Perm) uint64 {
 // kernel and insert it.
 func (cr *CachedRouter) AppendRoute(dst []gens.GenIndex, u, v perm.Perm) []gens.GenIndex {
 	s := cr.scratch.Get().(*RouteScratch)
-	s.timed = false // perm-addressed entry: no stable rank key to sample on
 	mark := len(dst)
 	dst = cr.appendRoute(dst, u, v, s)
 	s.observeHops(0, len(dst)-mark)
@@ -103,38 +101,24 @@ func (cr *CachedRouter) appendRoute(dst []gens.GenIndex, u, v perm.Perm, s *Rout
 	if len(u) != cr.nw.k || len(v) != cr.nw.k {
 		panic(fmt.Sprintf("core: AppendRoute on %s wants %d symbols", cr.nw.Name(), cr.nw.k))
 	}
-	var t0 int64
-	if s.timed {
-		t0 = obs.NowNs()
-	}
 	v.InverseInto(s.inv)
 	s.inv.ComposeInto(s.w, u)
 	if t := cr.table; t != nil {
 		if out, ok := t.AppendQuotientRoute(dst, s.w); ok {
-			s.hit = true
 			mTableServed.Inc()
-			if s.timed {
-				StageTableWalk.Observe(int(t0), uint64(obs.NowNs()-t0))
-			}
 			return out
 		}
 		// Declined: s.w is intact, fall through.
 	}
 	if cr.cache == nil {
-		s.hit = false
-		return cr.kernel(dst, s)
+		return cr.nw.appendQuotientRoute(dst, s.w)
 	}
 	key := cr.quotientKey(s.w)
 	if out, ok := cr.cache.get(dst, key, s.w); ok {
-		s.hit = true
-		if s.timed {
-			StageCacheHit.Observe(int(t0), uint64(obs.NowNs()-t0))
-		}
 		return out
 	}
-	s.hit = false
 	mark := len(dst)
-	dst = cr.kernel(dst, s)
+	dst = cr.nw.appendQuotientRoute(dst, s.w) // consumes s.w
 	// Re-derive the quotient for hashed-key storage (s.w is now the
 	// identity); rank-keyed caches never read it.
 	if cr.nw.k > RankKeyMaxK {
@@ -142,24 +126,6 @@ func (cr *CachedRouter) appendRoute(dst []gens.GenIndex, u, v perm.Perm, s *Rout
 		s.inv.ComposeInto(s.w, u)
 	}
 	cr.cache.put(key, s.w, dst[mark:])
-	if s.timed {
-		// The miss stage spans the whole cold resolution (kernel included):
-		// stages are independent histograms, not a partition.
-		StageCacheMiss.Observe(int(t0), uint64(obs.NowNs()-t0))
-	}
-	return dst
-}
-
-// kernel appends the greedy route of quotient s.w, consuming it.
-func (cr *CachedRouter) kernel(dst []gens.GenIndex, s *RouteScratch) []gens.GenIndex {
-	var tk int64
-	if s.timed {
-		tk = obs.NowNs()
-	}
-	dst = cr.nw.appendQuotientRoute(dst, s.w)
-	if s.timed {
-		StageKernel.Observe(int(tk), uint64(obs.NowNs()-tk))
-	}
 	return dst
 }
 
@@ -171,45 +137,27 @@ func (cr *CachedRouter) AppendRouteRanks(dst []gens.GenIndex, src, dstRank int64
 		return dst, fmt.Errorf("core: rank pair (%d, %d) out of range [0, %d)", src, dstRank, n)
 	}
 	s := cr.scratch.Get().(*RouteScratch)
-	// One sampling decision covers both the route tracer and the deep
-	// stage timers: sampled pairs time their table/cache/kernel phases
-	// into the scg_stage_* histograms (see appendRoute).
-	sampled := obs.RouteTrace.Sampled(uint64(src)<<32 ^ uint64(dstRank))
-	s.timed = sampled && obs.StageTimingOn()
 	mark := len(dst)
+	served := false
 	if rt := cr.rankTable; rt != nil {
 		// Rank-addressed fast lane: the table resolves both endpoints
 		// from its own slab, so neither UnrankInto runs.
-		var t0 int64
-		if s.timed {
-			t0 = obs.NowNs()
-		}
-		if out, ok := rt.AppendRouteRanks(dst, src, dstRank); ok {
+		var out []gens.GenIndex
+		if out, served = rt.AppendRouteRanks(dst, src, dstRank); served {
 			dst = out
-			s.hit = true
 			mTableServed.Inc()
-			if s.timed {
-				StageTableWalk.Observe(int(src), uint64(obs.NowNs()-t0))
-			}
-		} else {
-			perm.UnrankInto(s.u, src)
-			perm.UnrankInto(s.v, dstRank)
-			dst = cr.appendRoute(dst, s.u, s.v, s)
 		}
-	} else {
+	}
+	if !served {
 		perm.UnrankInto(s.u, src)
 		perm.UnrankInto(s.v, dstRank)
 		dst = cr.appendRoute(dst, s.u, s.v, s)
 	}
-	hops := len(dst) - mark
 	// One scratch-page observation per pair (flushed to the histogram
 	// striped on the source rank, so parallel RouteMany workers spread
 	// across cache lines); routes- and hops-totals are derived from the
 	// histogram at snapshot time.
-	s.observeHops(int(src), hops)
-	if sampled {
-		obs.RouteTrace.Record(src, dstRank, hops, 0, s.hit, dst[mark:])
-	}
+	s.observeHops(int(src), len(dst)-mark)
 	cr.scratch.Put(s)
 	return dst, nil
 }
@@ -226,7 +174,6 @@ func (cr *CachedRouter) Route(u, v perm.Perm) []gens.Generator {
 // this once per port per blocked hop).
 func (cr *CachedRouter) RouteLen(u, v perm.Perm) int {
 	s := cr.scratch.Get().(*RouteScratch)
-	s.timed = false
 	// Reuse the index buffer hanging off the scratch value so repeated
 	// length probes stay allocation-free once warm.
 	s.idx = cr.appendRoute(s.idx[:0], u, v, s)

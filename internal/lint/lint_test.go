@@ -57,8 +57,8 @@ func TestAnnotationsIndexed(t *testing.T) {
 		"ApplyInto", "ReplayInto", // gens kernels
 		"RouteInto", "appendQuotientRoute", "GreedyDim", // core kernel + callees
 		"Get", "get", "shardOf", "moveToFront", "unlink", "pushFront", // core cache warm hit
-		"appendDense",                                     // tables lookup loop
-		"AddAt", "IncAt", "Observe", "Enabled", "Sampled", // obs hot half
+		"appendDense",                          // tables lookup loop
+		"AddAt", "IncAt", "Observe", "Enabled", // obs hot half
 		"NowNs", "Mark", "Begin", "Finish", "tailNote", "retain", // flight recorder warm half
 		"AppendRouteRanks", "workerOf", // shard warm dispatch
 		"Submit", "flush", "Pairs", // serve enqueue→flush cycle

@@ -1,6 +1,7 @@
 // Package noalloc_obs_bad breaks the obs carve-out three ways: the
-// cold half of the tracer, metric registration, and a stdlib atomic
-// that is not in the roster all stay banned inside noalloc kernels.
+// cold half of the flight recorder, metric registration, and a stdlib
+// atomic that is not in the roster all stay banned inside noalloc
+// kernels.
 package noalloc_obs_bad
 
 import (
@@ -12,8 +13,8 @@ import (
 var state uint64
 
 //scg:noalloc
-func snapshotOnHotPath(t *obs.RouteTracer) int {
-	return len(t.Snapshot()) // want noalloc
+func snapshotOnHotPath(r *obs.FlightRecorder) int {
+	return len(r.Snapshot()) // want noalloc
 }
 
 //scg:noalloc

@@ -1,6 +1,6 @@
 // Package noalloc_obs_ok shows that the obs increment path is legal
 // inside //scg:noalloc kernels: the hot-half functions (AddAt, IncAt,
-// Observe, Enabled, Sampled) are themselves annotated, and the
+// Observe, Enabled, Begin, Mark) are themselves annotated, and the
 // standard-library atomics they ride on are in the noalloc roster.
 // The lint self-test asserts zero findings.
 package noalloc_obs_ok
@@ -12,9 +12,10 @@ import (
 )
 
 var (
-	hits = obs.Default.Counter("fixture_obs_ok_hits_total", "fixture counter")
-	hops = obs.Default.HopHist("fixture_obs_ok_hops", "fixture histogram", 8)
-	raw  uint64
+	hits  = obs.Default.Counter("fixture_obs_ok_hits_total", "fixture counter")
+	hops  = obs.Default.HopHist("fixture_obs_ok_hops", "fixture histogram", 8)
+	stage = obs.NewStage("fixture_obs_ok_stage")
+	raw   uint64
 )
 
 //scg:noalloc
@@ -29,6 +30,7 @@ func kernel(dst []int, slot int) []int {
 }
 
 //scg:noalloc
-func sampled(t *obs.RouteTracer, key uint64) bool {
-	return t.Sampled(key) // the sampling decision is hot-half too
+func journey(j *obs.Journey) {
+	obs.Flight.Begin(j, obs.JourneyOther) // the journey verbs are hot-half too
+	j.Mark(stage)
 }

@@ -207,12 +207,9 @@ func (r *Registry) JSON() ([]byte, error) {
 }
 
 func init() {
-	// Publish the default registry and the default route tracer on
-	// expvar, so any binary that serves /debug/vars (scg serve, or a
-	// user program importing net/http with the expvar handler) exposes
-	// them with no further wiring.
+	// Publish the default registry on expvar, so any binary that
+	// serves /debug/vars (scg serve, or a user program importing
+	// net/http with the expvar handler) exposes it with no further
+	// wiring.
 	expvar.Publish("scg_metrics", expvar.Func(func() any { return Default.Snapshot() }))
-	expvar.Publish("scg_route_trace", expvar.Func(func() any { return RouteTrace.Snapshot() }))
-	Default.CounterFunc("scg_route_trace_events_total",
-		"route-trace events captured by the seeded sampler", RouteTrace.Total)
 }

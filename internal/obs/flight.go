@@ -6,9 +6,10 @@ package obs
 // the serve pipeline's pooled Job (no pointer chasing, no interfaces,
 // no maps).  Mark(stage) attributes the time since the previous mark
 // to a named stage, so a journey's spans tile its wall time exactly;
-// each mark also feeds the stage's scg_stage_<name>_ns histogram, so
-// the aggregate per-stage view costs nothing extra.  Recording is
-// allocation-free and lock-free on the happy path.
+// Finish feeds each span to its stage's scg_stage_<name>_ns histogram,
+// so the aggregate per-stage view costs nothing extra and holds only
+// finished requests.  Recording is allocation-free and lock-free on
+// the happy path.
 //
 // Retention is tail-based: recording is cheap enough to do for every
 // request, but only interesting journeys are kept — a deterministic
@@ -44,10 +45,10 @@ import (
 	"time"
 )
 
-// MaxJourneySpans bounds the spans one journey retains; later marks
-// still feed the stage histograms but the journey is flagged
-// truncated.  The serve pipeline uses 7 stages per request, so 24
-// leaves headroom for deeper instrumentation.
+// MaxJourneySpans bounds the spans one journey records; later marks
+// are dropped (neither retained nor observed) and the journey is
+// flagged truncated.  The serve pipeline makes 7 marks per request,
+// well under the cap.
 const MaxJourneySpans = 24
 
 // Journey kinds (what the request was).
@@ -68,7 +69,7 @@ const (
 var flightEpoch = time.Now()
 
 // NowNs returns monotonic nanoseconds since process start — the
-// clock journeys and the sampled stage timers share.
+// clock every journey reads.
 //
 //scg:noalloc
 func NowNs() int64 { return int64(time.Now().Sub(flightEpoch)) }
@@ -112,11 +113,14 @@ func (j *Journey) Cancel() { j.active = false }
 func (j *Journey) SetPairs(n int) { j.pairs = int32(n) }
 
 // Mark attributes the time since the previous mark (or Begin) to
-// stage: the journey's spans tile its wall time with no gaps.  Each
-// mark also observes the duration on the stage's histogram.  Marks
-// may come from different goroutines as the request moves through the
-// pipeline, provided the handoffs already happen-before one another
-// (a channel send/receive), which is how the batcher passes jobs.
+// stage: the journey's spans tile its wall time with no gaps.  Mark
+// only records the span; Finish observes it on the stage's histogram,
+// so a journey cancelled before Finish (a rejected request) leaves no
+// trace in the histograms.  Marks past MaxJourneySpans on a truncated
+// journey are not observed at all.  Marks may come from different
+// goroutines as the request moves through the pipeline, provided the
+// handoffs already happen-before one another (a channel send/receive),
+// which is how the batcher passes jobs.
 //
 //scg:noalloc
 func (j *Journey) Mark(s Stage) {
@@ -136,7 +140,6 @@ func (j *Journey) Mark(s Stage) {
 		j.trunc = true
 	}
 	j.last = now
-	s.Observe(int(j.slot), uint64(d))
 }
 
 // Word-packed retained-journey slot layout:
@@ -263,6 +266,11 @@ var (
 	mJourneyDropped = Default.Counter("scg_flight_dropped_total", "retained journeys dropped on a ring slot collision")
 )
 
+// phi64 is 2^64/φ (the 64-bit golden-ratio constant): one multiply by
+// it spreads consecutive ids uniformly across the top output bits,
+// which is all the zero-test of the id sample examines.
+const phi64 = 0x9e3779b97f4a7c15
+
 func (r *FlightRecorder) setSample(interval uint64) {
 	// Keep an id iff the top log2(interval) hash bits are zero; an
 	// interval of 1 shifts by 64, which in Go yields 0 — every id.
@@ -309,10 +317,12 @@ func (r *FlightRecorder) Begin(j *Journey, kind uint8) {
 	j.active = true
 }
 
-// Finish closes the journey and decides retention: the deterministic
-// id sample keeps an unbiased 1-in-M baseline, the tail filter keeps
-// the slowest-N of the rolling window.  Either reason copies the
-// journey into its ring; everything else is forgotten for free.
+// Finish closes the journey, observes each recorded span on its
+// stage's histogram (on the journey's stripe), and decides retention:
+// the deterministic id sample keeps an unbiased 1-in-M baseline, the
+// tail filter keeps the slowest-N of the rolling window.  Either
+// reason copies the journey into its ring; everything else is
+// forgotten for free.
 //
 //scg:noalloc
 func (r *FlightRecorder) Finish(j *Journey) {
@@ -321,6 +331,10 @@ func (r *FlightRecorder) Finish(j *Journey) {
 	}
 	j.active = false
 	total := j.last - j.start
+	for i := 0; i < int(j.n); i++ {
+		sp := &j.spans[i]
+		sp.stage.Observe(int(j.slot), uint64(sp.dur))
+	}
 	mJourneys.IncAt(int(j.slot))
 	var reason uint8
 	if ((j.id^r.seed)*phi64)>>r.shift.Load() == 0 {
@@ -580,7 +594,6 @@ func writeMicros(buf *bytes.Buffer, ns int64) {
 }
 
 func init() {
-	// Ride the same expvar surface as the metrics registry and the
-	// route tracer.
+	// Ride the same expvar surface as the metrics registry.
 	expvar.Publish("scg_flight", expvar.Func(func() any { return Flight.Snapshot() }))
 }

@@ -15,6 +15,7 @@ var (
 	stFlightA      = NewStage("flight_test_a")
 	stFlightB      = NewStage("flight_test_b")
 	stFlightHammer = NewStage("flight_test_hammer")
+	stFlightFinish = NewStage("flight_test_finish")
 )
 
 func TestFlightJourneySpansTile(t *testing.T) {
@@ -55,6 +56,59 @@ func TestFlightJourneySpansTile(t *testing.T) {
 	}
 	if ev.Spans[0].StartNs != 0 || ev.Spans[1].StartNs != ev.Spans[0].DurNs {
 		t.Fatalf("spans are not contiguous: %+v", ev.Spans)
+	}
+}
+
+// stageHist returns the default-registry histogram of stage s.
+func stageHist(t *testing.T, s Stage) HistSnap {
+	t.Helper()
+	name := StageHistPrefix + s.Name() + StageHistSuffix
+	for _, h := range Default.Snapshot().Histograms {
+		if h.Name == name {
+			return h
+		}
+	}
+	t.Fatalf("%s missing from the default registry", name)
+	return HistSnap{}
+}
+
+// TestFlightFinishObservesStages pins where stage histograms are fed:
+// Finish observes every recorded span, a cancelled journey observes
+// nothing, and the marks a truncated journey drops past
+// MaxJourneySpans are not observed either.
+func TestFlightFinishObservesStages(t *testing.T) {
+	r := NewFlightRecorder(FlightConfig{Rings: 1, SlotsPerRing: 8, Sample: 1, TailKeep: 4, Window: time.Hour})
+	before := stageHist(t, stFlightFinish)
+
+	var j Journey
+	r.Begin(&j, JourneyBulk)
+	j.Mark(stFlightFinish)
+	j.Cancel()
+	r.Finish(&j)
+	if d := stageHist(t, stFlightFinish).Sub(before); d.Count != 0 {
+		t.Fatalf("a cancelled journey observed %d spans, want 0", d.Count)
+	}
+
+	r.Begin(&j, JourneyBulk)
+	for i := 0; i < MaxJourneySpans+2; i++ {
+		j.Mark(stFlightFinish)
+	}
+	if d := stageHist(t, stFlightFinish).Sub(before); d.Count != 0 {
+		t.Fatalf("Mark observed %d spans before Finish, want 0", d.Count)
+	}
+	r.Finish(&j)
+	d := stageHist(t, stFlightFinish).Sub(before)
+	evs := r.Snapshot()
+	if len(evs) != 1 || !evs[0].Truncated {
+		t.Fatalf("want one truncated journey, got %+v", evs)
+	}
+	var sum int64
+	for _, sp := range evs[0].Spans {
+		sum += sp.DurNs
+	}
+	if d.Count != MaxJourneySpans || d.Sum != uint64(sum) {
+		t.Fatalf("Finish observed %d spans summing %dns, want the %d recorded spans summing %dns",
+			d.Count, d.Sum, MaxJourneySpans, sum)
 	}
 }
 

@@ -3,7 +3,7 @@
 // routing engine, the simulators, and the analytics drivers.
 //
 // The design splits cleanly into a hot half and a cold half.  The hot
-// half — Counter.Add/Inc, Histogram.Observe, RouteTracer.Sampled —
+// half — Counter.Add/Inc, Histogram.Observe, Journey.Mark —
 // is a handful of atomic operations on cache-line-padded striped
 // cells, never allocates, and is annotated //scg:noalloc so scglint
 // verifies that structurally; the zero-alloc routing kernels may call

@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"expvar"
 	"fmt"
 	"runtime"
 	"strings"
@@ -350,15 +351,19 @@ func TestValidMetricName(t *testing.T) {
 }
 
 func TestDefaultRegistryPublished(t *testing.T) {
-	// The init in expo.go registers the trace-event counter on Default.
+	// The init in expo.go publishes the default registry on expvar, and
+	// the flight recorder registers its counters on it.
+	if expvar.Get("scg_metrics") == nil {
+		t.Fatal("scg_metrics not published on expvar")
+	}
 	found := false
 	for _, c := range Default.Snapshot().Counters {
-		if c.Name == "scg_route_trace_events_total" {
+		if c.Name == "scg_flight_journeys_total" {
 			found = true
 		}
 	}
 	if !found {
-		t.Fatal("scg_route_trace_events_total missing from Default registry")
+		t.Fatal("scg_flight_journeys_total missing from Default registry")
 	}
 }
 

@@ -1,12 +1,12 @@
 package obs
 
-// Pipeline stages: the named phases a request passes through (decode,
-// admission, queue wait, batch wait, route, shard dispatch, cache
-// hit/miss, table walk, fault-in, kernel, encode, ...).  A Stage is a
-// dense uint8 id handed out once per name at package init; observing a
-// duration against it is one array index plus a histogram observation,
-// so the flight recorder's Mark and the sampled deep-path timers stay
-// allocation-free.
+// Pipeline stages: the named phases a request passes through
+// (decode, admission, queue wait, batch wait, route, resume, encode).
+// A Stage is a dense uint8 id handed out once per name at package
+// init; the flight recorder's Journey.Mark records a span against it,
+// and Finish observes each span on the stage's histogram, so every
+// observation belongs to a finished journey and the stages of one
+// request tile its wall time.
 //
 // Every stage owns a scg_stage_<name>_ns power-of-two histogram in the
 // default registry (and is tracked by the default WindowRing), so the
@@ -18,7 +18,6 @@ package obs
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 )
 
 // MaxStages bounds the stage roster; NewStage panics past it.  Stage 0
@@ -116,137 +115,5 @@ func (s Stage) Observe(slot int, ns uint64) {
 	}
 	if h := stageHists[s]; h != nil {
 		h.Observe(slot, ns)
-	}
-}
-
-// stageTiming gates the sampled deep-path stage timers (cache hit,
-// kernel, table walk, shard dispatch): the flight recorder's journey
-// marks are cheap enough to stay unconditional, but the per-route
-// timers live inside the warm routing loop and ride the route-trace
-// sampler; this switch lets bench-obs A/B them.  1 = on (the default).
-var stageTiming uint32 = 1
-
-// SetStageTiming switches the sampled per-route stage timers on or
-// off process-wide (journey marks and stage histograms stay live).
-func SetStageTiming(on bool) {
-	v := uint32(0)
-	if on {
-		v = 1
-	}
-	atomic.StoreUint32(&stageTiming, v)
-}
-
-// StageTimingOn reports whether sampled deep-path stage timing is on
-// (it is also off whenever the whole telemetry layer is disabled).
-//
-//scg:noalloc
-func StageTimingOn() bool {
-	return atomic.LoadUint32(&stageTiming) == 1 && Enabled()
-}
-
-// StageLat is one row of a per-stage latency breakdown.
-type StageLat struct {
-	Stage   string  `json:"stage"`
-	Count   uint64  `json:"count"`
-	SumNs   uint64  `json:"sum_ns"`
-	P50Ns   uint64  `json:"p50_ns"`
-	P99Ns   uint64  `json:"p99_ns"`
-	MeanNs  uint64  `json:"mean_ns"`
-	SharePc float64 `json:"share_pct"`
-}
-
-// StageBreakdown summarizes every scg_stage_*_ns histogram of after,
-// optionally as a delta against before (pass nil for cumulative
-// totals).  Rows are sorted by total time descending, then name, and
-// SharePc is each stage's share of the summed stage time — the table
-// `scg stats -stages` prints.
-func StageBreakdown(before, after *Snapshot) []StageLat {
-	prev := map[string]HistSnap{}
-	if before != nil {
-		for _, h := range before.Histograms {
-			prev[h.Name] = h
-		}
-	}
-	var rows []StageLat
-	var total uint64
-	for _, h := range after.Histograms {
-		name, ok := stageOfHist(h.Name)
-		if !ok {
-			continue
-		}
-		if p, ok := prev[h.Name]; ok {
-			h = h.Sub(p)
-		}
-		if h.Count == 0 {
-			continue
-		}
-		p50, _ := h.Quantile(0.50)
-		p99, _ := h.Quantile(0.99)
-		rows = append(rows, StageLat{
-			Stage: name, Count: h.Count, SumNs: h.Sum,
-			P50Ns: p50, P99Ns: p99, MeanNs: h.Sum / h.Count,
-		})
-		total += h.Sum
-	}
-	for i := range rows {
-		if total > 0 {
-			rows[i].SharePc = 100 * float64(rows[i].SumNs) / float64(total)
-		}
-	}
-	sortStageLats(rows)
-	return rows
-}
-
-// stageOfHist maps a histogram name back to its stage name; ok is
-// false for non-stage histograms.
-func stageOfHist(hist string) (string, bool) {
-	if len(hist) <= len(StageHistPrefix)+len(StageHistSuffix) {
-		return "", false
-	}
-	if hist[:len(StageHistPrefix)] != StageHistPrefix ||
-		hist[len(hist)-len(StageHistSuffix):] != StageHistSuffix {
-		return "", false
-	}
-	return hist[len(StageHistPrefix) : len(hist)-len(StageHistSuffix)], true
-}
-
-func sortStageLats(rows []StageLat) {
-	for i := 1; i < len(rows); i++ {
-		for j := i; j > 0; j-- {
-			a, b := &rows[j-1], &rows[j]
-			if a.SumNs > b.SumNs || (a.SumNs == b.SumNs && a.Stage <= b.Stage) {
-				break
-			}
-			rows[j-1], rows[j] = rows[j], rows[j-1]
-		}
-	}
-}
-
-// FormatStageTable renders a breakdown as an aligned text table (one
-// header line, one line per stage); deterministic for a given input.
-func FormatStageTable(rows []StageLat) string {
-	if len(rows) == 0 {
-		return "  (no stage observations)\n"
-	}
-	out := fmt.Sprintf("  %-18s %12s %12s %12s %12s %7s\n",
-		"stage", "count", "mean", "p50", "p99", "share")
-	for _, r := range rows {
-		out += fmt.Sprintf("  %-18s %12d %12s %12s %12s %6.1f%%\n",
-			r.Stage, r.Count, fmtNs(r.MeanNs), fmtNs(r.P50Ns), fmtNs(r.P99Ns), r.SharePc)
-	}
-	return out
-}
-
-// fmtNs renders nanoseconds with a unit suited to the magnitude.
-func fmtNs(ns uint64) string {
-	switch {
-	case ns >= 1e9:
-		return fmt.Sprintf("%.2fs", float64(ns)/1e9)
-	case ns >= 1e6:
-		return fmt.Sprintf("%.2fms", float64(ns)/1e6)
-	case ns >= 1e3:
-		return fmt.Sprintf("%.2fµs", float64(ns)/1e3)
-	default:
-		return fmt.Sprintf("%dns", ns)
 	}
 }

@@ -24,11 +24,6 @@ var (
 		"dispatched routes computed by the greedy kernel")
 )
 
-// stDispatch times sampled dispatches end to end (hit or cold); the
-// deeper cache/table/kernel stages come from internal/core's shared
-// stage roster.
-var stDispatch = obs.NewStage("shard_dispatch")
-
 // liveEngines is the census roster behind the callback gauges.
 var liveEngines struct {
 	mu   sync.Mutex

@@ -33,7 +33,6 @@ import (
 	"supercayley/internal/core"
 	"supercayley/internal/gens"
 	"supercayley/internal/graph"
-	"supercayley/internal/obs"
 	"supercayley/internal/perm"
 	"supercayley/internal/tables"
 )
@@ -190,27 +189,15 @@ func (e *Engine) AppendRouteRanks(dst []gens.GenIndex, src, dstRank int64) ([]ge
 		return dst, fmt.Errorf("shard: rank pair (%d, %d) out of range [0, %d)", src, dstRank, e.n) //scg:ignore noalloc -- cold rejection path: a malformed pair may format its error
 	}
 	key := uint64(src)*uint64(e.n) + uint64(dstRank)
-	// One sampled stage-timing decision per dispatch, sharing the route
-	// tracer's hash so the timed pair set stays deterministic.
-	timed := obs.StageTimingOn() && obs.RouteTrace.Sampled(key)
-	var t0 int64
-	if timed {
-		t0 = obs.NowNs()
-	}
 	wk := e.workerOf(key)
 	wk.routes.Add(1)
 	mDispatch.IncAt(wk.id)
 	if out, ok := wk.cache.Get(dst, key, nil); ok {
 		wk.cacheServed.Add(1)
 		mCacheServed.IncAt(wk.id)
-		if timed {
-			now := obs.NowNs()
-			stDispatch.Observe(wk.id, uint64(now-t0))
-			core.StageCacheHit.Observe(wk.id, uint64(now-t0))
-		}
 		return out, nil
 	}
-	return wk.appendCold(e, dst, key, src, dstRank, timed, t0), nil //scg:ignore noalloc -- cold miss path: appendCold promotes into the cache and allocates by design
+	return wk.appendCold(e, dst, key, src, dstRank), nil //scg:ignore noalloc -- cold miss path: appendCold promotes into the cache and allocates by design
 }
 
 // appendCold resolves a cache miss: the shared fast-lane table serves
@@ -221,21 +208,13 @@ func (e *Engine) AppendRouteRanks(dst []gens.GenIndex, src, dstRank int64) ([]ge
 // the next dispatch of this pair is a pure cache hit — that Put is
 // the one deliberate allocation here; the warm path above it is
 // allocation-free, pinned by the guard in alloc_guard_test.go.
-func (wk *worker) appendCold(e *Engine, dst []gens.GenIndex, key uint64, src, dstRank int64, timed bool, t0 int64) []gens.GenIndex {
+func (wk *worker) appendCold(e *Engine, dst []gens.GenIndex, key uint64, src, dstRank int64) []gens.GenIndex {
 	mark := len(dst)
 	if d := e.dense; d != nil {
-		var tw int64
-		if timed {
-			tw = obs.NowNs()
-		}
 		if out, ok := d.AppendRouteRanks(dst, src, dstRank); ok {
 			wk.tableServed.Add(1)
 			mTableServed.IncAt(wk.id)
-			if timed {
-				core.StageTableWalk.Observe(wk.id, uint64(obs.NowNs()-tw))
-			}
 			wk.cache.Put(key, nil, out[mark:])
-			wk.coldObserve(timed, t0)
 			return out
 		}
 	}
@@ -244,31 +223,12 @@ func (wk *worker) appendCold(e *Engine, dst []gens.GenIndex, key uint64, src, ds
 	perm.UnrankInto(s.v, dstRank)
 	s.v.InverseInto(s.inv)
 	s.inv.ComposeInto(s.w, s.u)
-	var tk int64
-	if timed {
-		tk = obs.NowNs()
-	}
 	out := e.nw.AppendQuotientRoute(dst, s.w) // consumes w
-	if timed {
-		core.StageKernel.Observe(wk.id, uint64(obs.NowNs()-tk))
-	}
 	wk.kernelServed.Add(1)
 	mKernelServed.IncAt(wk.id)
 	wk.cache.Put(key, nil, out[mark:])
 	e.scratch.Put(s)
-	wk.coldObserve(timed, t0)
 	return out
-}
-
-// coldObserve closes out a timed cold dispatch: the whole resolution
-// counts as both shard_dispatch and route_cache_miss time.
-func (wk *worker) coldObserve(timed bool, t0 int64) {
-	if !timed {
-		return
-	}
-	now := obs.NowNs()
-	stDispatch.Observe(wk.id, uint64(now-t0))
-	core.StageCacheMiss.Observe(wk.id, uint64(now-t0))
 }
 
 // Stats implements core.Router by aggregating the per-worker cache
