@@ -85,9 +85,10 @@ go test -run='AllocFree$' -bench=Route -benchtime=1x ./internal/core
 
 # Serve-pipeline alloc guard: the steady-state enqueue→flush cycle
 # (pooled job, worker-owned batch buffers, sequential RouteManyInto)
-# must stay at AllocsPerRun == 0.
-echo "== serve pipeline alloc guard"
-go test -run='AllocFree$' ./internal/serve
+# must stay at AllocsPerRun == 0.  The flight-recorder bracket
+# (BenchmarkFlush512 / BenchmarkFlush512Recorded) runs once as a smoke.
+echo "== serve pipeline alloc guard + recorder bench smoke (-bench=Flush512 -benchtime=1x)"
+go test -run='AllocFree$' -bench=Flush512 -benchtime=1x ./internal/serve
 
 # Table-mode gates: the ten-family differential (table routes must be
 # port-identical to the RouteInto kernel) and the AllocsPerRun==0 guard

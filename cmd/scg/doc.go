@@ -15,15 +15,14 @@
 //	scg faults    -family MS -l 3 -n 2 -mode random -nodefrac 0.05 -linkfrac 0.05
 //	scg stats     -family MS -l 7 -n 1 -pairs 20000
 //	scg serve     -addr localhost:8650 -family MS -l 7 -n 1 -batch 512 -rate 500000
-//	scg bench-obs -family MS -k 8 -out BENCH_obs.json
 //
 // Every subcommand in main.go is reproducible from its flags: all
 // randomness flows from the -seed flag through seededRand, never from
 // the global math/rand source or the clock, and the file-wide
 // scg:deterministic directive there makes scglint enforce it.  The
-// service and observability commands in serve.go (serve, stats,
-// bench-obs) are the deliberate exception — serving HTTP and measuring
-// latency need the wall clock — and carry no directive.
+// service and observability commands in serve.go (serve, stats) are
+// the deliberate exception — serving HTTP and timing requests need the
+// wall clock — and carry no directive.
 //
 // `scg serve` is the routing service (DESIGN.md §13): POST /route
 // answers one JSON pair, POST /route/bulk answers many (JSON, or the
@@ -44,8 +43,8 @@
 // write and idle timeouts, so a stalled client cannot pin the server
 // or stall drain.  perfbench/ benchmarks the service end to end.
 // `scg stats` routes a seeded workload and dumps the registry once to
-// stdout.  `scg bench-obs` times the warm routing hot path with
-// telemetry disabled and enabled, brackets the flight recorder the
-// same way, and reports the overhead percentages, which
-// BENCH_obs.json snapshots and DESIGN.md §11/§16 budget at under 2%.
+// stdout.  The telemetry has no off switch; DESIGN.md §11/§16 budget
+// it at under 2% of the routing it observes, and
+// BenchmarkFlush512Recorded in internal/serve times the recorder's
+// share of a 512-pair batch flush.
 package main

@@ -1,7 +1,7 @@
 // The scg:deterministic directive covers every subcommand in this
 // file: scglint bans wall-clock reads and global randomness, so each
 // run is reproducible from its flags alone.  The observability
-// commands (serve, stats, bench-obs) legitimately need the clock and
+// commands (serve, stats) legitimately need the clock and
 // the network and live in serve.go, outside the directive.  See
 // doc.go for the package documentation.
 //
@@ -48,8 +48,6 @@ func main() {
 		err = cmdTasks(args)
 	case "faults":
 		err = cmdFaults(args)
-	case "bench-obs":
-		err = cmdBenchObs(args)
 	case "serve":
 		err = cmdServe(args)
 	case "stats":
@@ -84,7 +82,6 @@ commands:
   bag       solve a scrambled ball-arrangement game
   tasks     simulate MNB / TE communication tasks (Corollaries 2–3)
   faults    inject node/link faults, reroute adaptively, report degradation
-  bench-obs measure telemetry overhead (obs disabled vs enabled), write BENCH_obs.json
   serve     routing service + debug endpoint: /route, /route/bulk (batched, admission-controlled), /metrics, /metrics.json, /trace/requests, /trace/chrome, /debug/vars, /debug/pprof/*
   stats     route a seeded workload, then dump the metrics registry once
   export    write the network as Graphviz DOT
@@ -410,16 +407,6 @@ func cmdFaults(args []string) error {
 		return fmt.Errorf("unknown task %q", *task)
 	}
 	return nil
-}
-
-// benchNetworkAtK instantiates family f with k symbols, choosing the
-// (l, n) split with the most boxes (n = 1) so super generators are
-// exercised; IS is single-box by definition.
-func benchNetworkAtK(f core.Family, k int) (*core.Network, error) {
-	if f == core.IS {
-		return core.NewIS(k)
-	}
-	return core.New(f, k-1, 1)
 }
 
 func cmdExport(args []string) error {

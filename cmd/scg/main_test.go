@@ -75,7 +75,7 @@ func TestUsageListsEverySubcommand(t *testing.T) {
 			t.Errorf("subcommand %q is in main()'s switch but not in usageText", c)
 		}
 	}
-	for _, want := range []string{"info", "route", "bench-obs", "serve", "stats"} {
+	for _, want := range []string{"info", "route", "serve", "stats"} {
 		if !seen[want] {
 			t.Errorf("expected subcommand %q in main()'s switch", want)
 		}

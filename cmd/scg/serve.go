@@ -1,4 +1,4 @@
-// Observability subcommands: serve, stats, and bench-obs.  They live
+// Observability subcommands: serve and stats.  They live
 // outside main.go on purpose — main.go carries a file-wide
 // scg:deterministic directive, and these commands legitimately touch
 // the wall clock and the network, which that directive bans.
@@ -129,11 +129,6 @@ func (r *buildingRouter) AppendRouteRanks(dst []gens.GenIndex, src, dstRank int6
 func (r *buildingRouter) RouteManyInto(out *core.BulkRoutes, srcs, dsts []int64) error {
 	<-r.built
 	return r.CachedRouter.RouteManyInto(out, srcs, dsts)
-}
-
-func (r *buildingRouter) RouteMany(srcs, dsts []int64) (*core.BulkRoutes, error) {
-	<-r.built
-	return r.CachedRouter.RouteMany(srcs, dsts)
 }
 
 // serveFlags bundles the routing-service knobs of `scg serve` so the
@@ -299,58 +294,6 @@ func cmdStats(args []string) error {
 		os.Stdout.Write(blob)
 	default:
 		return fmt.Errorf("unknown format %q", *format)
-	}
-	return nil
-}
-
-func cmdBenchObs(args []string) error {
-	fs := flag.NewFlagSet("bench-obs", flag.ExitOnError)
-	family := fs.String("family", "MS", "network family measured at k symbols")
-	k := fs.Int("k", 8, "symbols (k = 8 → 40320 nodes, the snapshot protocol)")
-	pairs := fs.Int("pairs", 200000, "workload pairs per timed pass")
-	rounds := fs.Int("rounds", 5, "alternating disabled/enabled passes; best per side is kept")
-	seed := fs.Int64("seed", 1, "workload seed")
-	skew := fs.Float64("skew", 1.2, "zipf exponent (> 1)")
-	out := fs.String("out", "", "write the JSON report here (default: stdout only)")
-	pf := addProfileFlags(fs)
-	fs.Parse(args)
-	f, err := core.ParseFamily(*family)
-	if err != nil {
-		return err
-	}
-	nw, err := benchNetworkAtK(f, *k)
-	if err != nil {
-		return err
-	}
-	stopProf, err := pf.start()
-	if err != nil {
-		return err
-	}
-	defer stopProf()
-	rep, err := comm.BenchObs(comm.ObsBenchConfig{
-		Network: nw, Pairs: *pairs, Rounds: *rounds, Seed: *seed, Skew: *skew,
-	})
-	if err != nil {
-		return err
-	}
-	fmt.Printf("telemetry overhead on %s, warm %s workload (%d pairs, best of %d rounds):\n",
-		rep.Net, rep.Workload, rep.Pairs, rep.Rounds)
-	fmt.Printf("  obs disabled: %12.0f pairs/s\n", rep.DisabledPairsPerSec)
-	fmt.Printf("  obs enabled:  %12.0f pairs/s\n", rep.EnabledPairsPerSec)
-	fmt.Printf("  overhead:     %.2f%% (budget < 2%%)\n", rep.OverheadPct)
-	fmt.Printf("flight recorder bracket (batched rank routing, %d-pair journeys):\n", 512)
-	fmt.Printf("  recorder off: %12.0f pairs/s\n", rep.RecorderOffPairsPerSec)
-	fmt.Printf("  recorder on:  %12.0f pairs/s\n", rep.RecorderOnPairsPerSec)
-	fmt.Printf("  overhead:     %.2f%% (budget < 2%%)\n", rep.RecorderOverheadPct)
-	if *out != "" {
-		blob, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(*out, append(blob, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", *out)
 	}
 	return nil
 }

@@ -19,7 +19,9 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"slices"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -116,24 +118,6 @@ func TestServeCmdFlagRoster(t *testing.T) {
 	}
 }
 
-// TestProfileFlagRoster pins the -cpuprofile/-memprofile pair of the
-// measurement subcommand bench-obs.
-func TestProfileFlagRoster(t *testing.T) {
-	flags := flagRegistrations(t, "profile.go", "addProfileFlags")
-	want := []string{"cpuprofile", "memprofile"}
-	for _, name := range want {
-		usage, ok := flags[name]
-		if !ok {
-			t.Errorf("addProfileFlags no longer registers -%s", name)
-		} else if usage == "" {
-			t.Errorf("-%s has an empty usage string", name)
-		}
-	}
-	if len(flags) != len(want) {
-		t.Errorf("addProfileFlags registers %d flags, roster lists %d — update the roster test", len(flags), len(want))
-	}
-}
-
 // TestStatsFlagRoster pins cmdStats's own knobs with the same
 // exact-roster discipline; the shared network flags live in
 // addNetFlags and are rostered elsewhere.
@@ -209,6 +193,34 @@ func TestServeMuxRouteEndpoints(t *testing.T) {
 	mresp.Body.Close()
 	if !bytes.Contains(metrics, []byte("scg_serve_bulk_requests_total")) {
 		t.Error("/metrics does not expose the serve request counters")
+	}
+}
+
+// TestServeMuxStageRoster pins the scg_stage_*_ns family `scg serve`
+// exposes to exactly the seven request stages that tile a request, so
+// no stage registered elsewhere in the binary leaks into the served
+// roster.
+func TestServeMuxStageRoster(t *testing.T) {
+	srv := httptest.NewServer(newServeMux())
+	defer srv.Close()
+	var got []string
+	for _, line := range strings.Split(string(get(t, srv, "/metrics")), "\n") {
+		name, ok := strings.CutPrefix(line, "# TYPE scg_stage_")
+		if !ok {
+			continue
+		}
+		name, ok = strings.CutSuffix(name, "_ns histogram")
+		if !ok {
+			t.Errorf("stage metric line %q is not an _ns histogram", line)
+			continue
+		}
+		got = append(got, name)
+	}
+	want := []string{"decode", "admission", "queue_wait", "batch_wait", "route_many", "resume", "encode"}
+	slices.Sort(got)
+	slices.Sort(want)
+	if !slices.Equal(got, want) {
+		t.Errorf("/metrics stage histograms %v, want exactly the request stages %v", got, want)
 	}
 }
 

@@ -83,12 +83,13 @@ func BenchmarkRouteManyWarm(b *testing.B) {
 		srcs[i] = r.Int63n(n)
 		dsts[i] = r.Int63n(n)
 	}
-	if _, err := cr.RouteMany(srcs, dsts); err != nil {
+	out := &BulkRoutes{}
+	if err := cr.RouteManyInto(out, srcs, dsts); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := cr.RouteMany(srcs, dsts); err != nil {
+		if err := cr.RouteManyInto(out, srcs, dsts); err != nil {
 			b.Fatal(err)
 		}
 	}

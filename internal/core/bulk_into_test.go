@@ -1,12 +1,12 @@
 package core
 
 // RouteManyInto is the flush primitive behind the serve batcher, so
-// its contract gets its own differential: identical routes to
-// RouteMany on every batch size (up to past the served 1024-pair
-// request), caller-owned buffers truncated and reused, and errors
-// surfaced with the failing pair identified.  A NewTableRouter router
-// with no table installed must give the same bytes through the kernel
-// alone, without a cache.
+// its contract gets its own differential: identical routes to the bare
+// kernel (RouteInto, pair by pair) on every batch size (up to past the
+// served 1024-pair request), caller-owned buffers truncated and
+// reused, and errors surfaced with the failing pair identified.  A
+// NewTableRouter router with no table installed must give the same
+// bytes through the kernel alone, without a cache.
 
 import (
 	"math/rand"
@@ -35,12 +35,9 @@ func TestRouteManyIntoDifferential(t *testing.T) {
 		if err := cr.RouteManyInto(out, srcs, dsts); err != nil {
 			t.Fatalf("RouteManyInto(%d pairs): %v", pairs, err)
 		}
-		want, err := cr.RouteMany(srcs, dsts)
-		if err != nil {
-			t.Fatalf("RouteMany(%d pairs): %v", pairs, err)
-		}
+		want := kernelBulk(nw, srcs, dsts)
 		if out.Pairs() != want.Pairs() {
-			t.Fatalf("%d pairs: RouteManyInto yields %d routes, RouteMany %d", pairs, out.Pairs(), want.Pairs())
+			t.Fatalf("%d pairs: RouteManyInto yields %d routes, the kernel %d", pairs, out.Pairs(), want.Pairs())
 		}
 		if err := tr.RouteManyInto(kernelOut, srcs, dsts); err != nil {
 			t.Fatalf("table router RouteManyInto(%d pairs): %v", pairs, err)
@@ -63,6 +60,21 @@ func TestRouteManyIntoDifferential(t *testing.T) {
 	if s := tr.Stats(); s != (CacheStats{}) {
 		t.Fatalf("table router reports cache activity: %v", s)
 	}
+}
+
+// kernelBulk routes every rank pair through the bare kernel, the
+// reference the bulk entry points must match byte for byte.
+func kernelBulk(nw *Network, srcs, dsts []int64) *BulkRoutes {
+	s := NewRouteScratch(nw.K())
+	u, v := perm.Identity(nw.K()), perm.Identity(nw.K())
+	want := &BulkRoutes{Offsets: []int64{0}}
+	for i := range srcs {
+		perm.UnrankInto(u, srcs[i])
+		perm.UnrankInto(v, dsts[i])
+		want.Steps = nw.RouteInto(want.Steps, u, v, s)
+		want.Offsets = append(want.Offsets, int64(len(want.Steps)))
+	}
+	return want
 }
 
 func TestRouteManyIntoErrors(t *testing.T) {

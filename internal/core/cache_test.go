@@ -128,8 +128,8 @@ func TestRouteCacheLRUEviction(t *testing.T) {
 	}
 }
 
-// TestRouteManyMatchesPerCall checks the parallel batched entry point
-// against sequential AppendRouteRanks on the same router.
+// TestRouteManyMatchesPerCall checks the batched entry point against
+// sequential AppendRouteRanks on the same router.
 func TestRouteManyMatchesPerCall(t *testing.T) {
 	nw := MustNew(MS, 2, 2)
 	cr := NewCachedRouter(nw, CacheConfig{})
@@ -142,14 +142,15 @@ func TestRouteManyMatchesPerCall(t *testing.T) {
 		srcs[i] = r.Int63n(n)
 		dsts[i] = r.Int63n(n)
 	}
-	bulk, err := cr.RouteMany(srcs, dsts)
-	if err != nil {
+	bulk := &BulkRoutes{}
+	if err := cr.RouteManyInto(bulk, srcs, dsts); err != nil {
 		t.Fatal(err)
 	}
 	if bulk.Pairs() != pairs {
 		t.Fatalf("Pairs() = %d, want %d", bulk.Pairs(), pairs)
 	}
 	var buf []gens.GenIndex
+	var err error
 	for i := 0; i < pairs; i++ {
 		buf, err = cr.AppendRouteRanks(buf[:0], srcs[i], dsts[i])
 		if err != nil {
@@ -165,15 +166,14 @@ func TestRouteManyMatchesPerCall(t *testing.T) {
 			}
 		}
 	}
-	if _, err := cr.RouteMany([]int64{0}, []int64{n}); err == nil {
+	if err := cr.RouteManyInto(bulk, []int64{0}, []int64{n}); err == nil {
 		t.Fatal("out-of-range rank accepted")
 	}
-	if _, err := cr.RouteMany([]int64{0}, []int64{0, 1}); err == nil {
+	if err := cr.RouteManyInto(bulk, []int64{0}, []int64{0, 1}); err == nil {
 		t.Fatal("length mismatch accepted")
 	}
-	empty, err := cr.RouteMany(nil, nil)
-	if err != nil || empty.Pairs() != 0 || empty.TotalHops() != 0 {
-		t.Fatalf("empty RouteMany: %v %v", empty, err)
+	if err := cr.RouteManyInto(bulk, nil, nil); err != nil || bulk.Pairs() != 0 || bulk.TotalHops() != 0 {
+		t.Fatalf("empty RouteManyInto: %v %v", bulk, err)
 	}
 }
 

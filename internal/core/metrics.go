@@ -40,9 +40,6 @@ const hopFlushEvery = 64
 // so the increments are plain stores; only the periodic flush touches
 // shared memory.
 func (s *RouteScratch) observeHops(slot, hops int) {
-	if !obs.Enabled() {
-		return
-	}
 	b := hops
 	if hops > routeHopMax {
 		b = routeHopMax + 1
@@ -68,9 +65,9 @@ var (
 	mRouteHops = obs.Default.HopHist("scg_route_hops",
 		"hop counts of cached-router routes (count = routes, sum = total hops)", routeHopMax)
 	mBulkCalls = obs.Default.Counter("scg_route_many_calls_total",
-		"RouteMany bulk invocations")
+		"RouteManyInto bulk invocations")
 	mBulkPairs = obs.Default.Counter("scg_route_many_pairs_total",
-		"pairs routed through RouteMany")
+		"pairs routed through RouteManyInto")
 	mKernelRoutes = obs.Default.Counter("scg_route_kernel_calls_total",
 		"direct RouteInto kernel invocations (cache misses route here too)")
 	mKernelSteps = obs.Default.Counter("scg_route_kernel_steps_total",

@@ -97,3 +97,45 @@ func TestShardImbalanceObservable(t *testing.T) {
 		}
 	}
 }
+
+// TestKernelCountersCountRouterMisses pins scg_route_kernel_calls_total
+// and _steps_total to the router's own miss count: every cache miss,
+// and every pair a table router without a table routes, runs the
+// kernel once and must be counted once, with the steps it emitted;
+// a warm hit runs no kernel and counts nothing.
+func TestKernelCountersCountRouterMisses(t *testing.T) {
+	nw := MustNew(MS, 3, 1) // k = 4, 24 nodes
+	n := nw.N()
+	srcs := make([]int64, n-1)
+	dsts := make([]int64, n-1)
+	for i := range srcs {
+		dsts[i] = int64(i + 1) // from rank 0: n-1 distinct quotients
+	}
+	out := &BulkRoutes{}
+	for name, cr := range map[string]*CachedRouter{
+		"lru":   NewCachedRouter(nw, CacheConfig{}),
+		"table": NewTableRouter(nw),
+	} {
+		for lap := 0; lap < 2; lap++ {
+			calls0, steps0, misses0 := mKernelRoutes.Value(), mKernelSteps.Value(), cr.Stats().Misses
+			if err := cr.RouteManyInto(out, srcs, dsts); err != nil {
+				t.Fatal(err)
+			}
+			calls, steps := mKernelRoutes.Value()-calls0, mKernelSteps.Value()-steps0
+			misses := cr.Stats().Misses - misses0
+			if name == "table" {
+				misses = uint64(len(srcs)) // no cache: every pair is a kernel run
+			}
+			if calls != misses {
+				t.Errorf("%s lap %d: %d kernel calls counted for %d misses", name, lap, calls, misses)
+			}
+			wantSteps := uint64(0)
+			if misses != 0 {
+				wantSteps = uint64(out.TotalHops())
+			}
+			if steps != wantSteps {
+				t.Errorf("%s lap %d: %d kernel steps counted, want %d", name, lap, steps, wantSteps)
+			}
+		}
+	}
+}

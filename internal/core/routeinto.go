@@ -81,11 +81,7 @@ func (nw *Network) RouteInto(dst []gens.GenIndex, u, v perm.Perm, s *RouteScratc
 	}
 	v.InverseInto(s.inv)
 	s.inv.ComposeInto(s.w, u)
-	mark := len(dst)
-	dst = nw.appendQuotientRoute(dst, s.w)
-	mKernelRoutes.Inc()
-	mKernelSteps.Add(uint64(len(dst) - mark))
-	return dst
+	return nw.AppendQuotientRoute(dst, s.w)
 }
 
 // GreedyDim returns the star dimension the greedy cycle algorithm

@@ -5,7 +5,6 @@ import (
 	"sync"
 
 	"supercayley/internal/gens"
-	"supercayley/internal/graph"
 	"supercayley/internal/perm"
 )
 
@@ -111,14 +110,14 @@ func (cr *CachedRouter) appendRoute(dst []gens.GenIndex, u, v perm.Perm, s *Rout
 		// Declined: s.w is intact, fall through.
 	}
 	if cr.cache == nil {
-		return cr.nw.appendQuotientRoute(dst, s.w)
+		return cr.nw.AppendQuotientRoute(dst, s.w)
 	}
 	key := cr.quotientKey(s.w)
 	if out, ok := cr.cache.get(dst, key, s.w); ok {
 		return out
 	}
 	mark := len(dst)
-	dst = cr.nw.appendQuotientRoute(dst, s.w) // consumes s.w
+	dst = cr.nw.AppendQuotientRoute(dst, s.w) // consumes s.w
 	// Re-derive the quotient for hashed-key storage (s.w is now the
 	// identity); rank-keyed caches never read it.
 	if cr.nw.k > RankKeyMaxK {
@@ -154,8 +153,8 @@ func (cr *CachedRouter) AppendRouteRanks(dst []gens.GenIndex, src, dstRank int64
 		dst = cr.appendRoute(dst, s.u, s.v, s)
 	}
 	// One scratch-page observation per pair (flushed to the histogram
-	// striped on the source rank, so parallel RouteMany workers spread
-	// across cache lines); routes- and hops-totals are derived from the
+	// striped on the source rank, so parallel callers spread across
+	// cache lines); routes- and hops-totals are derived from the
 	// histogram at snapshot time.
 	s.observeHops(int(src), len(dst)-mark)
 	cr.scratch.Put(s)
@@ -182,7 +181,7 @@ func (cr *CachedRouter) RouteLen(u, v perm.Perm) int {
 	return n
 }
 
-// BulkRoutes is the flattened result of RouteMany: the route of pair i
+// BulkRoutes is the flattened result of RouteManyInto: the route of pair i
 // is Steps[Offsets[i]:Offsets[i+1]], in generator indices.
 type BulkRoutes struct {
 	Offsets []int64
@@ -201,12 +200,12 @@ func (b *BulkRoutes) Route(i int) []gens.GenIndex {
 // TotalHops returns the summed route length.
 func (b *BulkRoutes) TotalHops() int64 { return b.Offsets[len(b.Offsets)-1] }
 
-// RouteManyInto is RouteMany with caller-owned result storage, routed
-// inline on the calling goroutine: out's slices are truncated and
-// reused, growing only when capacity runs out, so a steady-state
-// caller re-flushing into the same BulkRoutes (the serve batcher,
-// whose GOMAXPROCS flush workers are the parallelism) allocates
-// nothing once warm.
+// RouteManyInto routes every (srcs[i], dsts[i]) rank pair into
+// caller-owned storage, in pair order, inline on the calling
+// goroutine: out's slices are truncated and reused, growing only when
+// capacity runs out, so a steady-state caller re-flushing into the
+// same BulkRoutes (the serve batcher, whose GOMAXPROCS flush workers
+// are the parallelism) allocates nothing once warm.
 func (cr *CachedRouter) RouteManyInto(out *BulkRoutes, srcs, dsts []int64) error {
 	if len(srcs) != len(dsts) {
 		return fmt.Errorf("core: RouteManyInto wants equal-length rank slices (%d vs %d)", len(srcs), len(dsts))
@@ -225,78 +224,4 @@ func (cr *CachedRouter) RouteManyInto(out *BulkRoutes, srcs, dsts []int64) error
 		out.Offsets = append(out.Offsets, int64(len(out.Steps)))
 	}
 	return nil
-}
-
-// RouteMany routes every (srcs[i], dsts[i]) rank pair in parallel over
-// GOMAXPROCS workers sharing the cache, and returns the routes in
-// pair order as one flat index array.  The output is deterministic:
-// worker scheduling affects only which worker fills which chunk, never
-// the bytes.
-//
-//scg:deterministic
-func (cr *CachedRouter) RouteMany(srcs, dsts []int64) (*BulkRoutes, error) {
-	if len(srcs) != len(dsts) {
-		return nil, fmt.Errorf("core: RouteMany wants equal-length rank slices (%d vs %d)", len(srcs), len(dsts))
-	}
-	pairs := len(srcs)
-	mBulkCalls.Inc()
-	mBulkPairs.Add(uint64(pairs))
-	if pairs == 0 {
-		return &BulkRoutes{Offsets: []int64{0}}, nil
-	}
-	workers := graph.Parallelism(pairs)
-	chunk := (pairs + workers - 1) / workers
-	bufs := make([][]gens.GenIndex, workers)
-	lens := make([][]int32, workers)
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > pairs {
-			hi = pairs
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			buf := make([]gens.GenIndex, 0, 64*(hi-lo))
-			ln := make([]int32, 0, hi-lo)
-			for i := lo; i < hi; i++ {
-				mark := len(buf)
-				var err error
-				buf, err = cr.AppendRouteRanks(buf, srcs[i], dsts[i])
-				if err != nil {
-					errs[w] = fmt.Errorf("pair %d: %w", i, err)
-					return
-				}
-				ln = append(ln, int32(len(buf)-mark))
-			}
-			bufs[w] = buf
-			lens[w] = ln
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	out := &BulkRoutes{Offsets: make([]int64, pairs+1)}
-	total := 0
-	for _, buf := range bufs {
-		total += len(buf)
-	}
-	out.Steps = make([]gens.GenIndex, 0, total)
-	i := 0
-	for w := range lens {
-		for _, ln := range lens[w] {
-			out.Offsets[i+1] = out.Offsets[i] + int64(ln)
-			i++
-		}
-		out.Steps = append(out.Steps, bufs[w]...)
-	}
-	return out, nil
 }

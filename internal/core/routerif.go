@@ -25,18 +25,17 @@ type Router interface {
 	// caller-owned storage; out's slices are truncated and reused so a
 	// steady-state caller allocates nothing once warm.
 	RouteManyInto(out *BulkRoutes, srcs, dsts []int64) error
-	// RouteMany routes every pair and returns the routes in pair order
-	// as one flat index array.
-	RouteMany(srcs, dsts []int64) (*BulkRoutes, error)
 }
 
 // The compile-time pin: CachedRouter is a Router.
 var _ Router = (*CachedRouter)(nil)
 
 // AppendQuotientRoute appends the route that sorts quotient w to the
-// identity — the exported entry of the greedy kernel, for engines
-// (internal/shard) that normalize pairs themselves.  w is consumed: it
-// is the identity on return.
+// identity — the counted entry of the greedy kernel: RouteInto, the
+// router's table and cache fall-throughs, and engines
+// (internal/shard) that normalize pairs themselves all route through
+// it, so scg_route_kernel_calls_total counts every kernel run.  w is
+// consumed: it is the identity on return.
 //
 //scg:noalloc
 func (nw *Network) AppendQuotientRoute(dst []gens.GenIndex, w perm.Perm) []gens.GenIndex {

@@ -55,16 +55,16 @@ func TestAnnotationsIndexed(t *testing.T) {
 		"LehmerDigitsInto", "RankAfterSwap", "RankSwapUpdate", // perm incremental rerank
 		"Equal",                   // perm comparison on the cache-hit path
 		"ApplyInto", "ReplayInto", // gens kernels
-		"RouteInto", "appendQuotientRoute", "GreedyDim", // core kernel + callees
+		"RouteInto", "AppendQuotientRoute", "appendQuotientRoute", "GreedyDim", // core kernel + callees
 		"Get", "get", "shardOf", "moveToFront", "unlink", "pushFront", // core cache warm hit
-		"appendDense",                          // tables lookup loop
-		"AddAt", "IncAt", "Observe", "Enabled", // obs hot half
+		"appendDense",               // tables lookup loop
+		"AddAt", "IncAt", "Observe", // obs hot half
 		"NowNs", "Mark", "Begin", "Finish", "tailNote", "retain", // flight recorder warm half
 		"AppendRouteRanks", "workerOf", // shard warm dispatch
 		"Submit", "flush", "Pairs", // serve enqueue→flush cycle
 	}
 	wantDeterministic := []string{
-		"RouteMany", "RouteSweep", "SurvivorStatsUnder", "ReachMatrixUnder",
+		"RouteSweep", "SurvivorStatsUnder", "ReachMatrixUnder",
 		"allSources", // via the file-wide directive on csr_msbfs.go
 	}
 	noalloc := map[string]bool{}

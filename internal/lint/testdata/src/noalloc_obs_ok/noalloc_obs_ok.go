@@ -1,6 +1,6 @@
 // Package noalloc_obs_ok shows that the obs increment path is legal
 // inside //scg:noalloc kernels: the hot-half functions (AddAt, IncAt,
-// Observe, Enabled, Begin, Mark) are themselves annotated, and the
+// Observe, Begin, Mark) are themselves annotated, and the
 // standard-library atomics they ride on are in the noalloc roster.
 // The lint self-test asserts zero findings.
 package noalloc_obs_ok
@@ -23,9 +23,6 @@ func kernel(dst []int, slot int) []int {
 	hits.IncAt(slot)
 	hops.Observe(slot, uint64(len(dst)))
 	atomic.AddUint64(&raw, 1) // rostered stdlib atomics may be called directly
-	if obs.Enabled() {
-		dst = append(dst, slot)
-	}
 	return dst
 }
 

@@ -186,7 +186,6 @@ const maxTailKeep = 64
 // rings.  The hot half — Begin, Mark, Finish — is allocation-free and
 // annotated //scg:noalloc; Snapshot and ChromeTrace are the cold half.
 type FlightRecorder struct {
-	enabled  atomic.Uint32
 	ids      atomic.Uint64
 	shift    atomic.Uint64 // sample when ((id^seed)*phi64)>>shift == 0
 	seed     uint64        // immutable after construction
@@ -248,7 +247,6 @@ func NewFlightRecorder(cfg FlightConfig) *FlightRecorder {
 		r.rings[i].slots = make([]flightSlot, cfg.SlotsPerRing)
 	}
 	r.setSample(cfg.Sample)
-	r.enabled.Store(1)
 	r.windowStart.Store(NowNs())
 	return r
 }
@@ -286,26 +284,12 @@ func (r *FlightRecorder) SetSampling(interval uint64) {
 	r.setSample(interval)
 }
 
-// SetEnabled switches journey recording on or off (for overhead
-// bracketing; the recorder defaults to on).
-func (r *FlightRecorder) SetEnabled(on bool) {
-	v := uint32(0)
-	if on {
-		v = 1
-	}
-	r.enabled.Store(v)
-}
-
 // Begin activates j as a new journey of the given kind.  The journey
 // stripes its stage observations by its own id, so callers need not
 // pick a slot.
 //
 //scg:noalloc
 func (r *FlightRecorder) Begin(j *Journey, kind uint8) {
-	if !Enabled() || r.enabled.Load() == 0 {
-		j.active = false
-		return
-	}
 	id := r.ids.Add(1)
 	now := NowNs()
 	j.id = id

@@ -21,9 +21,7 @@
 // use slot 0 and suit low-rate paths.  Values are summed over stripes
 // at snapshot time.
 //
-// The whole layer can be switched off with SetEnabled(false) — every
-// increment degrades to a single atomic load — which is how the
-// committed BENCH_obs.json A/B-measures the instrumentation overhead.
+// The layer has no off switch: every increment always lands.
 package obs
 
 import (
@@ -49,27 +47,6 @@ type cell struct {
 	_ [56]byte
 }
 
-// enabled gates every hot-path increment; 1 = on (the default).
-var enabled uint32 = 1
-
-// SetEnabled switches the telemetry layer on or off process-wide.
-// Off, every increment and observation degrades to one atomic load —
-// the switch exists so instrumentation overhead can be A/B-measured
-// (see `scg bench-obs`), not for production use: the layer is
-// designed to stay on.
-func SetEnabled(on bool) {
-	v := uint32(0)
-	if on {
-		v = 1
-	}
-	atomic.StoreUint32(&enabled, v)
-}
-
-// Enabled reports whether the telemetry layer is on.
-//
-//scg:noalloc
-func Enabled() bool { return atomic.LoadUint32(&enabled) == 1 }
-
 // Counter is a monotone striped atomic counter.
 type Counter struct {
 	name, help string
@@ -85,9 +62,6 @@ func (c *Counter) Name() string { return c.name }
 //
 //scg:noalloc
 func (c *Counter) AddAt(slot int, delta uint64) {
-	if !Enabled() {
-		return
-	}
 	atomic.AddUint64(&c.stripes[slot&stripeMask].n, delta)
 }
 
@@ -134,9 +108,6 @@ type Gauge struct {
 
 // Set stores v.
 func (g *Gauge) Set(v float64) {
-	if !Enabled() {
-		return
-	}
 	atomic.StoreUint64(&g.bits, math.Float64bits(v))
 }
 
@@ -183,9 +154,6 @@ func (h *Histogram) Name() string { return h.name }
 //
 //scg:noalloc
 func (h *Histogram) Observe(slot int, v uint64) {
-	if !Enabled() {
-		return
-	}
 	s := slot & stripeMask
 	var b int
 	if h.pow2 {
@@ -210,9 +178,6 @@ func (h *Histogram) Observe(slot int, v uint64) {
 // can batch dozens of observations into one pass of atomics instead
 // of paying one atomic add per event on the hot path.
 func (h *Histogram) ObserveBulk(slot int, counts []uint32, sum uint64) {
-	if !Enabled() {
-		return
-	}
 	if len(counts) != h.width {
 		panic("obs: ObserveBulk page width does not match the histogram")
 	}

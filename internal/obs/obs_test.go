@@ -138,28 +138,6 @@ func TestPow2HistogramBounds(t *testing.T) {
 	}
 }
 
-func TestSetEnabledGatesIncrements(t *testing.T) {
-	defer SetEnabled(true)
-	r := NewRegistry()
-	c := r.Counter("gated_total", "h")
-	h := r.HopHist("gated_hops", "h", 4)
-	g := r.Gauge("gated", "h")
-	SetEnabled(false)
-	c.Inc()
-	h.Observe(0, 2)
-	g.Set(3.5)
-	if c.Value() != 0 || histSnapOf(h).Count != 0 || g.Value() != 0 {
-		t.Fatal("increments landed while disabled")
-	}
-	SetEnabled(true)
-	c.Inc()
-	h.Observe(0, 2)
-	g.Set(3.5)
-	if c.Value() != 1 || histSnapOf(h).Count != 1 || g.Value() != 3.5 {
-		t.Fatal("increments lost after re-enabling")
-	}
-}
-
 // fillRegistry populates a registry with one metric of every kind.
 func fillRegistry(r *Registry) {
 	c := r.Counter("zz_routes_total", "routed pairs")

@@ -32,7 +32,6 @@ import (
 
 	"supercayley/internal/core"
 	"supercayley/internal/gens"
-	"supercayley/internal/graph"
 	"supercayley/internal/perm"
 	"supercayley/internal/tables"
 )
@@ -288,7 +287,7 @@ func (e *Engine) TableBytes() int64 {
 
 // RouteManyInto implements core.Router the way CachedRouter does:
 // every batch routes inline into caller-owned storage, with zero
-// allocations once warm; RouteMany is the parallel entry.
+// allocations once warm.
 func (e *Engine) RouteManyInto(out *core.BulkRoutes, srcs, dsts []int64) error {
 	if len(srcs) != len(dsts) {
 		return fmt.Errorf("shard: RouteManyInto wants equal-length rank slices (%d vs %d)", len(srcs), len(dsts))
@@ -304,77 +303,6 @@ func (e *Engine) RouteManyInto(out *core.BulkRoutes, srcs, dsts []int64) error {
 		out.Offsets = append(out.Offsets, int64(len(out.Steps)))
 	}
 	return nil
-}
-
-// RouteMany implements core.Router: pair chunks fan out over
-// graph.Parallelism workers, each appending into its own buffer, and
-// the chunks concatenate in pair order.  Deterministic: scheduling
-// picks which goroutine fills which chunk, never the bytes.
-//
-//scg:deterministic
-func (e *Engine) RouteMany(srcs, dsts []int64) (*core.BulkRoutes, error) {
-	if len(srcs) != len(dsts) {
-		return nil, fmt.Errorf("shard: RouteMany wants equal-length rank slices (%d vs %d)", len(srcs), len(dsts))
-	}
-	pairs := len(srcs)
-	if pairs == 0 {
-		return &core.BulkRoutes{Offsets: []int64{0}}, nil
-	}
-	workers := graph.Parallelism(pairs)
-	chunk := (pairs + workers - 1) / workers
-	bufs := make([][]gens.GenIndex, workers)
-	lens := make([][]int32, workers)
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > pairs {
-			hi = pairs
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			buf := make([]gens.GenIndex, 0, 64*(hi-lo))
-			ln := make([]int32, 0, hi-lo)
-			for i := lo; i < hi; i++ {
-				mark := len(buf)
-				var err error
-				buf, err = e.AppendRouteRanks(buf, srcs[i], dsts[i])
-				if err != nil {
-					errs[w] = fmt.Errorf("pair %d: %w", i, err)
-					return
-				}
-				ln = append(ln, int32(len(buf)-mark))
-			}
-			bufs[w] = buf
-			lens[w] = ln
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	out := &core.BulkRoutes{Offsets: make([]int64, pairs+1)}
-	total := 0
-	for _, buf := range bufs {
-		total += len(buf)
-	}
-	out.Steps = make([]gens.GenIndex, 0, total)
-	i := 0
-	for w := range lens {
-		for _, ln := range lens[w] {
-			out.Offsets[i+1] = out.Offsets[i] + int64(ln)
-			i++
-		}
-		out.Steps = append(out.Steps, bufs[w]...)
-	}
-	return out, nil
 }
 
 // The compile-time pin: Engine is a drop-in core.Router.

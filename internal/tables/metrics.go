@@ -1,11 +1,12 @@
 package tables
 
-// Telemetry for table-mode routing, registered on obs.Default,
-// mirroring internal/core's pattern: hot-path counters are striped
-// atomics paid once per route (not per hop), build costs land in a
-// power-of-two histogram, and residency is a callback gauge over a
-// roster of live tables so the registry never holds a table alive nor
-// the hot path a registry lock.
+// Telemetry for table builds, registered on obs.Default.  The walk
+// itself counts nothing: its callers already count every pair a table
+// serves (core's scg_route_table_served_total and scg_route_hops,
+// shard's scg_shard_table_served_total).  Build
+// costs land in a power-of-two histogram, and residency is a callback
+// gauge over a roster of live tables so the registry never holds a
+// table alive.
 
 import (
 	"expvar"
@@ -15,10 +16,6 @@ import (
 )
 
 var (
-	mTableRoutes = obs.Default.Counter("scg_table_routes_total",
-		"routes served end-to-end by precomputed tables")
-	mTableSteps = obs.Default.Counter("scg_table_steps_total",
-		"generator steps emitted by table-mode walks")
 	mRanksBuilt = obs.Default.Counter("scg_table_ranks_built_total",
 		"quotient ranks materialized by table builds")
 	hBuildNs = obs.Default.Pow2Hist("scg_table_build_ns",

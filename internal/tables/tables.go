@@ -267,13 +267,10 @@ func (t *Table) appendDense(dst []gens.GenIndex, w perm.Perm) []gens.GenIndex {
 	var digArr [perm.MaxK]int32
 	dig := digArr[:len(w)]
 	rank := perm.LehmerDigitsInto(dig, w)
-	mark := len(dst)
 	if t.next != nil {
 		for {
 			d := t.dims[rank]
 			if d == 0 {
-				mTableRoutes.Inc()
-				mTableSteps.Add(uint64(len(dst) - mark))
 				return dst
 			}
 			dst = append(dst, t.exp[d]...)
@@ -283,8 +280,6 @@ func (t *Table) appendDense(dst []gens.GenIndex, w perm.Perm) []gens.GenIndex {
 	for {
 		d := t.dims[rank]
 		if d == 0 {
-			mTableRoutes.Inc()
-			mTableSteps.Add(uint64(len(dst) - mark))
 			return dst
 		}
 		dst = append(dst, t.exp[d]...)
